@@ -574,13 +574,16 @@ fn cmd_serve(args: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let stats = server.shutdown();
     writeln!(
         out,
-        "drained: {} connections, {} ok, {} failed, {} shed, {} deduped, {} replayed",
+        "drained: {} connections, {} ok, {} failed, {} shed, {} deduped, {} replayed, \
+         {} result hits, {} result misses",
         stats.connections,
         stats.requests_ok,
         stats.requests_failed,
         stats.shed,
         stats.deduped,
-        stats.replayed
+        stats.replayed,
+        stats.result_hits,
+        stats.result_misses
     )?;
     Ok(())
 }
@@ -1433,7 +1436,13 @@ mod tests {
         let out = run_ok(&["serve", "--addr", "127.0.0.1:0", "--jobs", "1"]);
         assert!(out.contains("listening on 127.0.0.1:"), "{out}");
         assert!(out.contains("draining"), "{out}");
-        assert!(out.contains("drained:"), "{out}");
+        assert!(
+            out.contains(
+                "drained: 0 connections, 0 ok, 0 failed, 0 shed, 0 deduped, 0 replayed, \
+                 0 result hits, 0 result misses"
+            ),
+            "{out}"
+        );
     }
     #[test]
     fn sim_single_seed_reports_pass_and_counters() {

@@ -213,6 +213,13 @@ impl SweepCache {
         self.stats
     }
 
+    /// Matrices held across all chains. Chains only ever grow, so a
+    /// snapshot taken at this depth holds every matrix until it
+    /// increases; the hit/miss [`CacheStats`] it stores do go stale.
+    pub fn depth(&self) -> usize {
+        self.powers.len() + self.ab.len() + self.ca.len() + self.cab.len()
+    }
+
     /// Grows `powers` to hold `A^0..=A^n`; returns the number computed.
     fn ensure_powers(&mut self, n: usize) -> u64 {
         let mut computed = 0;
@@ -439,6 +446,24 @@ mod tests {
                 "i = {i}"
             );
         }
+    }
+
+    #[test]
+    fn depth_grows_only_when_a_chain_grows() {
+        let mut cache = SweepCache::new(&sys_mimo());
+        assert_eq!(cache.depth(), 1, "just the identity power");
+        cache.unfolded(3).unwrap();
+        let at_three = cache.depth();
+        assert!(at_three > 1);
+        cache.unfolded(3).unwrap();
+        cache.unfolded(1).unwrap();
+        assert_eq!(
+            cache.depth(),
+            at_three,
+            "shallower or repeat queries add nothing"
+        );
+        cache.horner(5).unwrap();
+        assert!(cache.depth() > at_three);
     }
 
     #[test]

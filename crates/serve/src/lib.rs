@@ -67,6 +67,7 @@ pub mod client;
 pub mod clock;
 pub mod journal;
 pub mod replicate;
+pub mod results;
 pub mod router;
 pub mod server;
 pub mod signal;
@@ -81,11 +82,14 @@ pub use replicate::{
     query_status_via, store_epoch, store_epoch_state, EpochState, ReplChaos, ReplMsg, Role,
     StatusView,
 };
+pub use results::RESULT_CACHE_CAPACITY;
 pub use router::{
     fnv1a64, routing_key, start_router, LatencyTracker, RetryBudget, RouterConfig, RouterHandle,
     ShardRing,
 };
-pub use server::{start, RecoveryReport, RoleInfo, ServerConfig, ServerHandle, ServerStats};
+pub use server::{
+    optimize_result, start, RecoveryReport, RoleInfo, ServerConfig, ServerHandle, ServerStats,
+};
 pub use transport::{
     read_line, Acceptor, Conn, NetError, TcpTransport, Transport, MAX_FRAME_BYTES,
 };

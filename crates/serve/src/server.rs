@@ -79,7 +79,7 @@ use lintra::engine::{
 use lintra::linsys::count::{op_count, TrivialityRule};
 use lintra::opt::multi::ProcessorSelection;
 use lintra::opt::{asic, multi, saturate, single, Strategy, TechConfig};
-use lintra::suite::by_name;
+use lintra::suite::{by_name, Design};
 use lintra::{ErrorClass, LintraError};
 use lintra_bench::json::Json;
 use lintra_bench::render::{render_table2, render_table3, render_table4};
@@ -90,6 +90,7 @@ use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::clock::{Clock, SystemClock};
 use crate::journal::{Journal, JournalRecord, RecordKind, SNAPSHOT_DIR};
 use crate::replicate::{self, ReplChaos, ReplMsg, ReplState, Role};
+use crate::results::{ResultCache, ResultKey, RESULT_CACHE_CAPACITY};
 use crate::signal;
 use crate::transport::{Acceptor, Conn, NetError, TcpTransport, Transport};
 
@@ -202,6 +203,10 @@ pub struct ServerStats {
     pub deduped: u64,
     /// Journaled requests re-executed during startup recovery.
     pub replayed: u64,
+    /// `optimize` requests answered from the result cache.
+    pub result_hits: u64,
+    /// `optimize` requests that computed their result (cache misses).
+    pub result_misses: u64,
 }
 
 #[derive(Debug, Default)]
@@ -255,6 +260,11 @@ pub(crate) struct Shared {
     /// Shared per-design sweep caches: repeated sweeps reuse the
     /// incremental-unfold chain, and durable servers snapshot them.
     pub(crate) caches: Mutex<HashMap<String, SweepCache>>,
+    /// Per design, the [`SweepCache::depth`] of its snapshot on disk.
+    /// Only [`persist_snapshots`] takes it, always inside `caches`.
+    snapshotted: Mutex<HashMap<String, usize>>,
+    /// Bounded cache of `optimize` results ([`crate::results`]).
+    results: ResultCache,
     /// `Some` iff [`ServerConfig::journal_dir`] was set.
     pub(crate) durability: Option<Mutex<Durability>>,
     /// Replication state (`Some` iff durable — every durable server can
@@ -322,7 +332,15 @@ impl ServerHandle {
             shed: c.shed.load(Ordering::SeqCst),
             deduped: c.deduped.load(Ordering::SeqCst),
             replayed: c.replayed.load(Ordering::SeqCst),
+            result_hits: self.shared.results.hits.load(Ordering::SeqCst),
+            result_misses: self.shared.results.misses.load(Ordering::SeqCst),
         }
+    }
+
+    /// Entries held by the `optimize` result cache (at most
+    /// [`RESULT_CACHE_CAPACITY`]).
+    pub fn result_cache_len(&self) -> usize {
+        self.shared.results.len()
     }
 
     /// What startup recovery found (`None` on a stateless server).
@@ -519,6 +537,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         (None, None)
     };
 
+    // Snapshots loaded at start are already on disk at their depth.
+    let snapshotted = caches.iter().map(|(d, c)| (d.clone(), c.depth())).collect();
     let shared = Arc::new(Shared {
         breaker: CircuitBreaker::new(config.breaker),
         config,
@@ -527,6 +547,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         draining: AtomicBool::new(false),
         stats: Counters::default(),
         caches: Mutex::new(caches),
+        snapshotted: Mutex::new(snapshotted),
+        results: ResultCache::new(RESULT_CACHE_CAPACITY),
         durability,
         repl,
         warm_tx,
@@ -677,9 +699,11 @@ fn settle(shared: &Arc<Shared>, rid: &str, resp: &WireResponse) {
     d.completed.insert(rid.to_string(), (kind, trimmed));
 }
 
-/// Best-effort checkpoint of every warm sweep cache into the durability
-/// directory (atomic write-rename per design). Snapshots are an
-/// optimization: a failed save costs recompute, never correctness.
+/// Best-effort checkpoint of the sweep caches that grew since their last
+/// snapshot into the durability directory (atomic write-rename per
+/// design); a cache whose depth did not grow is already on disk and is
+/// skipped. Snapshots are an optimization: a failed save costs
+/// recompute, never correctness.
 pub(crate) fn persist_snapshots(shared: &Arc<Shared>) {
     let Some(dir) = &shared.config.journal_dir else {
         return;
@@ -689,8 +713,15 @@ pub(crate) fn persist_snapshots(shared: &Arc<Shared>) {
         return;
     }
     let caches = lock_unpoisoned(&shared.caches);
+    let mut snapshotted = lock_unpoisoned(&shared.snapshotted);
     for (design, cache) in caches.iter() {
-        let _ = snapshot::save(cache, &snap_dir.join(format!("{design}.snap")));
+        let depth = cache.depth();
+        // `None < Some(_)`: a design never snapshotted counts as grown.
+        if snapshotted.get(design) < Some(&depth)
+            && snapshot::save(cache, &snap_dir.join(format!("{design}.snap"))).is_ok()
+        {
+            snapshotted.insert(design.clone(), depth);
+        }
     }
 }
 
@@ -1210,6 +1241,80 @@ fn checked_v0(v0: f64) -> Result<f64, LintraError> {
     }
 }
 
+/// The `result` object of an `optimize` request: one strategy on one
+/// suite design at supply `v0`, with the fixed configurations the
+/// service always uses. This is what the server answers (and caches).
+///
+/// # Errors
+///
+/// The optimizer's own failure, classified as a [`LintraError`].
+pub fn optimize_result(
+    d: &Design,
+    strategy: Strategy,
+    v0: f64,
+    processors: Option<usize>,
+) -> Result<Json, LintraError> {
+    let tech = TechConfig::dac96(v0);
+    let name = || Json::Str(d.name.to_string());
+    let result = match strategy {
+        Strategy::Single => single::optimize(&d.system, &tech).map(|r| {
+            Json::obj([
+                ("strategy", Json::Str("single".to_string())),
+                ("design", name()),
+                ("unfolding", Json::Num(r.real.unfolding as f64)),
+                ("speedup", Json::Num(r.real.speedup)),
+                ("voltage", Json::Num(r.real.scaling.voltage)),
+                ("power_reduction", Json::Num(r.real.power_reduction())),
+                ("diagnostics", Json::Num(r.diagnostics.len() as f64)),
+            ])
+        }),
+        Strategy::Multi => {
+            let selection = match processors {
+                Some(n) => ProcessorSelection::SearchBest { max: n },
+                None => ProcessorSelection::StatesCount,
+            };
+            multi::optimize(&d.system, &tech, selection).map(|r| {
+                Json::obj([
+                    ("strategy", Json::Str("multi".to_string())),
+                    ("design", name()),
+                    ("processors", Json::Num(r.processors as f64)),
+                    ("unfolding", Json::Num(r.unfolding as f64)),
+                    ("speedup", Json::Num(r.speedup)),
+                    ("voltage", Json::Num(r.scaling.voltage)),
+                    ("power_reduction", Json::Num(r.power_reduction())),
+                    ("diagnostics", Json::Num(r.diagnostics.len() as f64)),
+                ])
+            })
+        }
+        Strategy::Asic => asic::optimize(&d.system, &tech, &asic::AsicConfig::default()).map(|r| {
+            Json::obj([
+                ("strategy", Json::Str("asic".to_string())),
+                ("design", name()),
+                ("unfolding", Json::Num(f64::from(r.unfolding))),
+                ("voltage", Json::Num(r.voltage)),
+                ("muls_removed", Json::Num(r.mcm.muls_removed as f64)),
+                ("improvement", Json::Num(r.improvement())),
+                ("diagnostics", Json::Num(r.diagnostics.len() as f64)),
+            ])
+        }),
+        Strategy::Egraph => {
+            saturate::optimize(&d.system, &tech, &saturate::SaturateConfig::default()).map(|r| {
+                Json::obj([
+                    ("strategy", Json::Str("egraph".to_string())),
+                    ("design", name()),
+                    ("unfolding", Json::Num(f64::from(r.unfolding))),
+                    ("voltage", Json::Num(r.voltage)),
+                    ("improvement", Json::Num(r.improvement())),
+                    ("vs_script", Json::Num(r.vs_script())),
+                    ("saturated", Json::Bool(r.stats.saturated())),
+                    ("diagnostics", Json::Num(r.diagnostics.len() as f64)),
+                ])
+            })
+        }
+    };
+    result.map_err(LintraError::from)
+}
+
 fn execute(
     shared: &Arc<Shared>,
     req: &WireRequest,
@@ -1233,87 +1338,36 @@ fn execute(
             let d = by_name(design)
                 .ok_or_else(|| config_error(format!("unknown design `{design}`")))?;
             let v0 = checked_v0(*v0)?;
-            let tech = TechConfig::dac96(v0);
             let processors = *processors;
             // One sweep point through the pool: panics become
             // RES-WORKER-PANIC, stalls RES-WORKER-STALL, an
             // already-expired deadline RES-DEADLINE — uniformly with the
             // sweep paths.
-            let results = shared.pool.map_ctl(
-                vec![()],
-                |()| {
-                    chaos_delay(fault, 0, 0, cfg);
-                    match strategy {
-                        Strategy::Single => single::optimize(&d.system, &tech).map(|r| {
-                            Json::obj([
-                                ("strategy", Json::Str("single".to_string())),
-                                ("design", Json::Str(d.name.to_string())),
-                                ("unfolding", Json::Num(r.real.unfolding as f64)),
-                                ("speedup", Json::Num(r.real.speedup)),
-                                ("voltage", Json::Num(r.real.scaling.voltage)),
-                                ("power_reduction", Json::Num(r.real.power_reduction())),
-                                ("diagnostics", Json::Num(r.diagnostics.len() as f64)),
-                            ])
-                        }),
-                        Strategy::Multi => {
-                            let selection = match processors {
-                                Some(n) => ProcessorSelection::SearchBest { max: n },
-                                None => ProcessorSelection::StatesCount,
-                            };
-                            multi::optimize(&d.system, &tech, selection).map(|r| {
-                                Json::obj([
-                                    ("strategy", Json::Str("multi".to_string())),
-                                    ("design", Json::Str(d.name.to_string())),
-                                    ("processors", Json::Num(r.processors as f64)),
-                                    ("unfolding", Json::Num(r.unfolding as f64)),
-                                    ("speedup", Json::Num(r.speedup)),
-                                    ("voltage", Json::Num(r.scaling.voltage)),
-                                    ("power_reduction", Json::Num(r.power_reduction())),
-                                    ("diagnostics", Json::Num(r.diagnostics.len() as f64)),
-                                ])
-                            })
-                        }
-                        Strategy::Asic => {
-                            asic::optimize(&d.system, &tech, &asic::AsicConfig::default()).map(
-                                |r| {
-                                    Json::obj([
-                                        ("strategy", Json::Str("asic".to_string())),
-                                        ("design", Json::Str(d.name.to_string())),
-                                        ("unfolding", Json::Num(f64::from(r.unfolding))),
-                                        ("voltage", Json::Num(r.voltage)),
-                                        ("muls_removed", Json::Num(r.mcm.muls_removed as f64)),
-                                        ("improvement", Json::Num(r.improvement())),
-                                        ("diagnostics", Json::Num(r.diagnostics.len() as f64)),
-                                    ])
-                                },
-                            )
-                        }
-                        Strategy::Egraph => saturate::optimize(
-                            &d.system,
-                            &tech,
-                            &saturate::SaturateConfig::default(),
-                        )
-                        .map(|r| {
-                            Json::obj([
-                                ("strategy", Json::Str("egraph".to_string())),
-                                ("design", Json::Str(d.name.to_string())),
-                                ("unfolding", Json::Num(f64::from(r.unfolding))),
-                                ("voltage", Json::Num(r.voltage)),
-                                ("improvement", Json::Num(r.improvement())),
-                                ("vs_script", Json::Num(r.vs_script())),
-                                ("saturated", Json::Bool(r.stats.saturated())),
-                                ("diagnostics", Json::Num(r.diagnostics.len() as f64)),
-                            ])
-                        }),
-                    }
-                },
-                ctl,
-            );
-            let point = results
-                .into_iter()
-                .next()
-                .ok_or_else(|| config_error("engine returned no result for a one-point sweep"))?;
-            point.map_err(LintraError::from)?.map_err(LintraError::from)
+            let run = || {
+                let results = shared.pool.map_ctl(
+                    vec![()],
+                    |()| {
+                        chaos_delay(fault, 0, 0, cfg);
+                        optimize_result(&d, strategy, v0, processors)
+                    },
+                    ctl,
+                );
+                let point = results.into_iter().next().ok_or_else(|| {
+                    config_error("engine returned no result for a one-point sweep")
+                })?;
+                point.map_err(LintraError::from)?
+            };
+            // An injected fault must reach the engine, never a cached answer.
+            if fault.is_some() {
+                return run();
+            }
+            let key = ResultKey {
+                design: d.name,
+                strategy,
+                v0_bits: v0.to_bits(),
+                processors,
+            };
+            shared.results.get_or_compute(key, run)
         }
         WireOp::Sweep { design, max_i } => {
             let d = by_name(design)

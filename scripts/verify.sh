@@ -26,6 +26,11 @@ echo "== engine: differential + golden-snapshot tests =="
 cargo test --release -p lintra-engine -q
 cargo test --release -p lintra-bench --test parallel_equivalence --test golden_tables -q
 
+echo "== perfbench: load-generator and report self-tests =="
+# perfbench is its own cargo package (empty [workspace]), so the
+# workspace test run above never reaches it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 echo "== egraph: property + differential harness (release, hard timeout) =="
 # The saturation search is budgeted, never unbounded — a hang here is a
 # bug, so the harness runs under a hard wall-clock cap.

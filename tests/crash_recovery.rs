@@ -268,6 +268,48 @@ fn corrupt_snapshot_is_quarantined_and_sweeps_still_serve() {
 }
 
 #[test]
+fn sweeps_rewrite_only_the_snapshots_that_grew() {
+    use std::os::unix::fs::MetadataExt;
+
+    let dir = temp_dir("snap-skip");
+    let ellip = dir.join(SNAPSHOT_DIR).join("ellip.snap");
+    let inode = || std::fs::metadata(&ellip).expect("ellip snapshot").ino();
+    let sweep = |server: &ServerHandle, design: &str, max_i: u32| {
+        let line = WireRequest::new(
+            "s",
+            WireOp::Sweep {
+                design: design.to_string(),
+                max_i,
+            },
+        )
+        .render_line();
+        let resp = WireResponse::parse(&raw_request(server, &line)).expect("parseable");
+        assert!(resp.outcome.is_ok(), "{design} sweep to {max_i}");
+    };
+    let server = start(durable_config(&dir)).expect("start");
+    sweep(&server, "ellip", 4);
+    let first = inode();
+    sweep(&server, "ellip", 4);
+    sweep(&server, "ellip", 2);
+    assert_eq!(inode(), first, "no deeper chain, no rewrite");
+    sweep(&server, "ellip", 6);
+    let deeper = inode();
+    assert_ne!(deeper, first, "a deeper sweep replaces the snapshot");
+    sweep(&server, "iir5", 3);
+    assert!(dir.join(SNAPSHOT_DIR).join("iir5.snap").exists());
+    assert_eq!(inode(), deeper, "another design leaves it alone");
+    server.shutdown();
+    assert_eq!(inode(), deeper, "the drain checkpoint skips it too");
+
+    // A snapshot loaded at start counts as persisted.
+    let server = start(durable_config(&dir)).expect("restart");
+    sweep(&server, "ellip", 6);
+    server.shutdown();
+    assert_eq!(inode(), deeper);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn deterministic_failures_are_journaled_and_dedup_served() {
     let dir = temp_dir("fail-dedup");
     let req = WireRequest::new(
