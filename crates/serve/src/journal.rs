@@ -38,7 +38,7 @@
 //!   fresh one, surfacing `IO-JOURNAL-CORRUPT`
 //!   ([`ScanOutcome::Corrupt`]). Never a panic, never silent reuse.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -258,6 +258,80 @@ pub fn encode_record(kind: RecordKind, rid: &str, line: &str) -> Vec<u8> {
 /// The dedup map: settled `request_id` → the kind that settled it and
 /// the exact response line a retry is answered with.
 pub type CompletedMap = HashMap<String, (RecordKind, String)>;
+
+/// What [`Admissions::admit`] decided for one keyed request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Admission {
+    /// Settled with a retry-serving outcome: answer with these journaled
+    /// response bytes, zero recompute.
+    Answer(String),
+    /// The same key is executing right now (`RES-DUPLICATE-REQUEST`).
+    Duplicate,
+    /// A fresh (or aborted, hence recomputable) key, now in flight.
+    Fresh,
+}
+
+/// The idempotency ledger of one durable server: settled keys (the
+/// dedup map) plus the keys admitted and still executing.
+#[derive(Debug, Clone, Default)]
+pub struct Admissions {
+    completed: CompletedMap,
+    inflight: HashSet<String>,
+}
+
+impl Admissions {
+    /// A ledger seeded with recovered settled keys and nothing in flight.
+    pub fn new(completed: CompletedMap) -> Admissions {
+        Admissions {
+            completed,
+            inflight: HashSet::new(),
+        }
+    }
+
+    /// Decides one keyed request: answer it from the journal, refuse it
+    /// as a concurrent duplicate, or admit it as fresh.
+    pub fn admit(&mut self, rid: &str) -> Admission {
+        match self.completed.get(rid) {
+            Some((kind, line)) if kind.serves_retries() => Admission::Answer(line.clone()),
+            // An aborted attempt (resource/I-O) settles the admit but
+            // earns the retry a fresh execution.
+            _ if !self.inflight.insert(rid.to_string()) => Admission::Duplicate,
+            _ => Admission::Fresh,
+        }
+    }
+
+    /// Un-admits a key whose admission record never became durable.
+    pub fn abandon(&mut self, rid: &str) {
+        self.inflight.remove(rid);
+    }
+
+    /// Settles a key with its completion record.
+    pub fn settle(&mut self, rid: &str, kind: RecordKind, line: &str) {
+        self.inflight.remove(rid);
+        self.completed
+            .insert(rid.to_string(), (kind, line.to_string()));
+    }
+
+    /// Folds one replicated record into the ledger.
+    pub fn apply(&mut self, rec: &JournalRecord) {
+        if rec.kind != RecordKind::Admit {
+            self.settle(&rec.rid, rec.kind, &rec.line);
+        }
+    }
+
+    /// The journaled answer a retry of `rid` is served, if settled so.
+    pub fn answer(&self, rid: &str) -> Option<&str> {
+        self.completed
+            .get(rid)
+            .filter(|(kind, _)| kind.serves_retries())
+            .map(|(_, line)| line.as_str())
+    }
+
+    /// Settled keys.
+    pub fn settled(&self) -> usize {
+        self.completed.len()
+    }
+}
 
 /// Folds a record sequence into the dedup map and the ordered list of
 /// admitted-but-unsettled requests — the one replay policy shared by

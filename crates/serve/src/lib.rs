@@ -66,6 +66,7 @@ pub mod breaker;
 pub mod client;
 pub mod clock;
 pub mod journal;
+pub mod repl_core;
 pub mod replicate;
 pub mod results;
 pub mod router;
@@ -77,6 +78,7 @@ pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use client::{Client, ClientError, RetryPolicy};
 pub use clock::{Clock, SystemClock};
 pub use journal::{Journal, JournalRecovery, RecordKind, ScanOutcome};
+pub use repl_core::{CoreConfig, Effect, Event, ReplCore, Timer};
 pub use replicate::{
     epoch_stride_slot, load_epoch_state, prefix_crc, promotion_epoch, query_status,
     query_status_via, store_epoch, store_epoch_state, EpochState, ReplChaos, ReplMsg, Role,

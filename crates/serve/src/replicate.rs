@@ -69,14 +69,15 @@
 //! * **defers** to any live peer with more acked records (or, on a tie,
 //!   the lexicographically smaller address) — so the *highest-acked*
 //!   follower wins and a double promotion resolves deterministically;
-//!   each deferral is logged so a perpetual defer loop is visible,
+//!   each deferral is logged, and a peer that is fenced or parked
+//!   diverged (it reports role `diverged`) is never deferred to, since
+//!   it will never promote,
 //! * otherwise **promotes**: bumps the epoch past every epoch it has
 //!   observed — to the next epoch *congruent to this node's slot* in
 //!   the sorted cluster membership (`peers` ∪ self), so two nodes can
-//!   never promote to the **same** epoch — persists it, installs cache
-//!   snapshots ([`lintra::engine::snapshot::install_dir`]), replays
-//!   admitted-but-unsettled journal records, and only then serves as
-//!   primary. Retried `request_id`s settled before the failover are
+//!   never promote to the **same** epoch — persists it, replays
+//!   admitted-but-unsettled journal records on the caches the warmer
+//!   kept hot, and only then serves as primary. Retried `request_id`s settled before the failover are
 //!   answered from the replicated journal byte-identically, with zero
 //!   recompute.
 //!
@@ -102,25 +103,36 @@
 //! the refused follower marks itself *diverged*, stops resyncing, and
 //! will never promote. The operator wipes its journal directory and
 //! re-seeds it from the live primary.
+//!
+//! # Core and shell
+//!
+//! Every decision above lives in one sans-IO state machine,
+//! [`crate::repl_core::ReplCore`]: hello/rec/hb/err handling,
+//! arbitration, promotion, the guard's fencing checks and the request
+//! role gate. This module is its threaded *shell*: it owns the sockets,
+//! the journal fsyncs, the epoch file, the [`Clock`] and the chaos hooks,
+//! feeds the core events and carries out the effects it returns. The
+//! deterministic simulator (`lintra-sim`) drives the very same core.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use lintra::engine::snapshot::{crc32, install_dir};
+use lintra::engine::snapshot::crc32;
 use lintra::matrix::rng::SplitMix64;
 use lintra_bench::json::Json;
 use lintra_bench::wire::{WireOp, WireRequest};
 
 use crate::client::RetryPolicy;
 use crate::clock::{Clock, SystemClock};
-use crate::journal::{fold_records, payload_bytes, JournalRecord, RecordKind, SNAPSHOT_DIR};
-use crate::server::{lock_unpoisoned, persist_snapshots, replay_request, Shared};
+use crate::journal::{payload_bytes, JournalRecord, RecordKind};
+use crate::repl_core::{CoreConfig, Effect, Event, ReplCore};
+use crate::server::{lock_unpoisoned, persist_snapshots, replay_request, ServerConfig, Shared};
 use crate::signal;
 use crate::transport::{read_line, Conn, NetError, TcpTransport, Transport};
 
@@ -160,15 +172,6 @@ impl Role {
     }
 }
 
-/// Role plus the addresses that parameterize it.
-#[derive(Debug, Clone)]
-pub struct RoleState {
-    /// Current role.
-    pub role: Role,
-    /// The primary this follower replicates from (follower/promoting).
-    pub primary: Option<String>,
-}
-
 /// Deterministic replication-fault knobs, for chaos tests only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplChaos {
@@ -184,96 +187,33 @@ pub struct ReplChaos {
 }
 
 /// Shared replication state of one server (present iff durable).
+///
+/// Lock order: the durability lock (`server::Durability`: journal and
+/// admissions) is always taken *before* `core`, and never while `core`
+/// is held — a record is journaled first, then published to the core.
 pub struct ReplState {
-    /// This server's own listen address (tiebreaks promotion races).
-    pub(crate) self_addr: Mutex<String>,
-    /// Current epoch (term). Monotonic; persisted in [`EPOCH_FILE`].
-    pub(crate) epoch: AtomicU64,
-    /// Where the epoch is persisted.
-    pub(crate) epoch_path: PathBuf,
-    /// Current role.
-    pub(crate) role: Mutex<RoleState>,
-    /// In-memory image of the journal, in record order; sequence number
-    /// `s` is `log[s - 1]`. Seeded from recovery, appended on every
-    /// journal append, streamed to followers.
-    pub(crate) log: Mutex<Vec<JournalRecord>>,
-    /// Signalled when `log` grows (wakes idle follower streams).
+    /// The replication state machine.
+    pub(crate) core: Mutex<ReplCore>,
+    /// Signalled when the core's log grows (wakes idle follower streams).
     pub(crate) log_grew: Condvar,
-    /// Highest acked sequence per follower address (observability).
-    pub(crate) acks: Mutex<HashMap<String, u64>>,
-    /// The epoch that superseded ours (0 = not fenced).
-    pub(crate) fenced_by: AtomicU64,
-    /// Records replayed during promotion.
-    pub(crate) promoted_replayed: AtomicU64,
-    /// The address of the primary this server was deposed-promoted from
-    /// (set at promotion; the guard loop keeps fencing it).
-    pub(crate) former_primary: Mutex<Option<String>>,
-    /// Replication records refused for a checksum mismatch
-    /// (`IO-REPL-CORRUPT`).
-    pub(crate) corrupt_refused: AtomicU64,
-    /// True once the primary proved this follower's journal is not a
-    /// prefix of its own (`IO-REPL-CORRUPT` at hello): replication has
-    /// stopped and this server will never promote.
-    pub(crate) diverged: AtomicBool,
-    /// Random per-process identity carried in status replies, so a
-    /// status query that loops back to this very server (hostname vs IP
-    /// alias, `0.0.0.0` bind) is recognized as self, not a peer.
-    pub(crate) nonce: u64,
+    /// Where the epoch is persisted.
+    epoch_path: PathBuf,
     /// Chaos link drops already consumed (each fires once).
-    pub(crate) chaos_drops_done: AtomicU64,
+    chaos_drops_done: AtomicU64,
 }
 
 impl ReplState {
-    /// Builds the replication state from the persisted epoch file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`load_epoch_state`]'s refusal of an unreadable or
-    /// unparseable epoch file — silently resetting a corrupt file to
-    /// epoch 1 could un-fence a deposed primary, so startup fails
-    /// instead.
+    /// Boots the replication core of a server listening on `self_addr`
+    /// from its persisted epoch state and recovered journal records.
+    /// Returns the boot effects (see [`ReplCore::new`]); the epoch-file
+    /// rewrite among them is already carried out.
     pub(crate) fn new(
+        config: &ServerConfig,
         epoch_path: PathBuf,
-        replica_of: Option<String>,
+        state: EpochState,
+        self_addr: String,
         records: Vec<JournalRecord>,
-        clock: &dyn Clock,
-    ) -> Result<ReplState, std::io::Error> {
-        let state = load_epoch_state(&epoch_path)?;
-        let (role, fenced_by) = match (replica_of, state.fenced) {
-            // An explicit `--replica-of` rejoin clears a persisted
-            // fence: the operator chose a primary to resync from, and
-            // the hello's prefix checksum guards against a divergent
-            // journal sneaking back in.
-            (Some(primary), fenced) => {
-                if fenced {
-                    let _ = store_epoch(&epoch_path, state.epoch);
-                }
-                (
-                    RoleState {
-                        role: Role::Follower,
-                        primary: Some(primary),
-                    },
-                    0,
-                )
-            }
-            // A fenced server restarted as-is stays fenced: re-opening
-            // for writes at a stale epoch would accept (and ack) work
-            // the real primary never sees.
-            (None, true) => (
-                RoleState {
-                    role: Role::Fenced,
-                    primary: None,
-                },
-                state.epoch,
-            ),
-            (None, false) => (
-                RoleState {
-                    role: Role::Primary,
-                    primary: None,
-                },
-                0,
-            ),
-        };
+    ) -> (ReplState, Vec<Effect>) {
         // The nonce only has to distinguish *processes* talking through
         // address aliases. A process-wide counter makes it unique within
         // this process even under a frozen or coarse clock (two ReplStates
@@ -281,84 +221,64 @@ impl ReplState {
         // host, and the monotonic clock reading separates hosts — no
         // `SystemTime` involved, so simulation runs stay deterministic.
         static NONCE_SEQ: AtomicU64 = AtomicU64::new(0);
+        let now = config.clock.now();
         let mut hasher = DefaultHasher::new();
         std::process::id().hash(&mut hasher);
         epoch_path.hash(&mut hasher);
         NONCE_SEQ.fetch_add(1, Ordering::SeqCst).hash(&mut hasher);
-        clock.now().hash(&mut hasher);
-        Ok(ReplState {
-            self_addr: Mutex::new(String::new()),
-            epoch: AtomicU64::new(state.epoch),
-            epoch_path,
-            role: Mutex::new(role),
-            log: Mutex::new(records),
-            log_grew: Condvar::new(),
-            acks: Mutex::new(HashMap::new()),
-            fenced_by: AtomicU64::new(fenced_by),
-            promoted_replayed: AtomicU64::new(0),
-            former_primary: Mutex::new(None),
-            corrupt_refused: AtomicU64::new(0),
-            diverged: AtomicBool::new(false),
+        now.hash(&mut hasher);
+        let cfg = CoreConfig {
+            self_addr,
+            peers: config.peers.clone(),
+            grace: config.failover_grace,
+            heartbeat: config.heartbeat,
+            peer_timeout: PEER_TIMEOUT,
             // JSON numbers are f64: keep the nonce within 2^53 so it
             // round-trips the wire exactly. One SplitMix64 step disperses
             // the hash so counter-adjacent nonces are far apart.
             nonce: SplitMix64::new(hasher.finish()).next_u64() & ((1 << 53) - 1),
+        };
+        let (core, mut boot) = ReplCore::new(cfg, state, config.replica_of.clone(), records, now);
+        let repl = ReplState {
+            core: Mutex::new(core),
+            log_grew: Condvar::new(),
+            epoch_path,
             chaos_drops_done: AtomicU64::new(0),
-        })
+        };
+        boot.retain(|effect| match effect {
+            Effect::Execute { .. } => true,
+            other => {
+                repl.apply_local(other.clone());
+                false
+            }
+        });
+        (repl, boot)
     }
 
-    /// Current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+    /// Locks the core.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, ReplCore> {
+        lock_unpoisoned(&self.core)
     }
 
-    /// Current sequence number (= records in the log).
-    pub fn seq(&self) -> u64 {
-        lock_unpoisoned(&self.log).len() as u64
+    /// Hands a record that just became durable in the journal to the
+    /// core and wakes idle follower streams. Called with the durability
+    /// lock held, so the log mirrors the journal in order.
+    pub(crate) fn publish(&self, rec: JournalRecord) {
+        self.lock().publish(rec);
+        self.log_grew.notify_all();
     }
 
-    /// Snapshot of the current role.
-    pub fn role_state(&self) -> RoleState {
-        lock_unpoisoned(&self.role).clone()
-    }
-
-    pub(crate) fn set_role(&self, role: Role, primary: Option<String>) {
-        *lock_unpoisoned(&self.role) = RoleState { role, primary };
-    }
-
-    /// Records refused with `IO-REPL-CORRUPT` so far.
-    pub fn corrupt_refused(&self) -> u64 {
-        self.corrupt_refused.load(Ordering::SeqCst)
-    }
-
-    /// True once this follower's journal was proven to have diverged
-    /// from its primary's (it will never resync or promote).
-    pub fn diverged(&self) -> bool {
-        self.diverged.load(Ordering::SeqCst)
-    }
-
-    /// Fences this server: a higher epoch exists, so every subsequent
-    /// request is answered `RES-STALE-EPOCH`. The fence is persisted
-    /// (best-effort) so a restart comes back fenced instead of
-    /// re-opening for writes at the stale epoch; the in-memory fence
-    /// holds regardless.
-    pub(crate) fn fence(&self, superseded_by: u64) {
-        let _ = store_epoch_state(
-            &self.epoch_path,
-            EpochState {
-                epoch: superseded_by.max(self.epoch()),
-                fenced: true,
-            },
-        );
-        self.fenced_by.store(superseded_by, Ordering::SeqCst);
-        self.set_role(Role::Fenced, None);
-    }
-
-    /// Adopts a higher epoch observed on the wire, persisting it.
-    fn adopt_epoch(&self, epoch: u64) {
-        if epoch > self.epoch() {
-            let _ = store_epoch(&self.epoch_path, epoch);
-            self.epoch.store(epoch, Ordering::SeqCst);
+    /// Carries out the effects every thread handles the same way.
+    /// Persistence is best-effort: an unpersistable epoch costs a
+    /// deferral after the next restart, never a split brain (the epoch
+    /// is still carried on every wire message).
+    fn apply_local(&self, effect: Effect) {
+        match effect {
+            Effect::PersistEpoch(state) => {
+                let _ = store_epoch_state(&self.epoch_path, state);
+            }
+            Effect::Trace(line) => eprintln!("replication: {line}"),
+            _ => {}
         }
     }
 }
@@ -449,7 +369,6 @@ pub fn store_epoch(path: &Path, epoch: u64) -> Result<(), std::io::Error> {
         },
     )
 }
-
 // --- wire messages --------------------------------------------------------
 
 /// One replication message (a JSON line with a `"repl"` discriminator).
@@ -703,11 +622,7 @@ pub fn query_status_via(
     addr: &str,
     timeout: Duration,
 ) -> Option<StatusView> {
-    let mut conn = transport.connect(addr, timeout).ok()?;
-    conn.send(ReplMsg::Status.render_line().as_bytes()).ok()?;
-    let mut buf = Vec::new();
-    let line = read_line(conn.as_mut(), &mut buf, timeout, POLL, clock).ok()??;
-    match ReplMsg::parse(&line)? {
+    match ask(transport, clock, addr, &ReplMsg::Status, timeout)? {
         ReplMsg::StatusReply {
             role,
             epoch,
@@ -727,187 +642,289 @@ pub fn query_status_via(
     }
 }
 
+/// One-shot exchange: connect, send `msg`, read one reply line.
+fn ask(
+    transport: &dyn Transport,
+    clock: &dyn Clock,
+    addr: &str,
+    msg: &ReplMsg,
+    timeout: Duration,
+) -> Option<ReplMsg> {
+    let mut conn = transport.connect(addr, timeout).ok()?;
+    conn.send(msg.render_line().as_bytes()).ok()?;
+    let mut buf = Vec::new();
+    let line = read_line(conn.as_mut(), &mut buf, timeout, POLL, clock).ok()??;
+    ReplMsg::parse(&line)
+}
+
 // --- primary side: streaming ----------------------------------------------
 
 /// Streams journal records to one follower; runs on the connection
-/// thread that received the follower's hello. Returns when the link
-/// drops, the server drains, this server stops being primary, or a
-/// chaos-configured link drop fires.
-pub(crate) fn stream_to_follower(
-    shared: &Arc<Shared>,
-    mut conn: Box<dyn Conn>,
-    hello_epoch: u64,
-    mut cursor: u64,
-    hello_pcrc: u32,
-    peer: String,
-) {
+/// thread that received the follower's `hello`. Returns when the core
+/// closes the stream (refused hello, lost primacy), the link drops, the
+/// server drains, or a chaos-configured link drop fires.
+pub(crate) fn stream_to_follower(shared: &Arc<Shared>, mut conn: Box<dyn Conn>, hello: ReplMsg) {
+    static LINKS: AtomicU64 = AtomicU64::new(0);
     let Some(repl) = &shared.repl else { return };
-    let clock = shared.config.clock.as_ref();
-    // A hello from a higher epoch means this server was deposed while it
-    // was away: fence immediately, refuse the stream.
-    if hello_epoch > repl.epoch() {
-        repl.fence(hello_epoch);
-        let _ = conn.send(
-            ReplMsg::Err {
-                code: "RES-STALE-EPOCH".to_string(),
-                epoch: repl.epoch(),
-            }
-            .render_line()
-            .as_bytes(),
-        );
+    let ReplMsg::Hello { from, .. } = &hello else {
         return;
-    }
-    match repl.role_state().role {
-        Role::Primary => {}
-        role => {
-            let code = match role {
-                Role::Fenced => "RES-STALE-EPOCH",
-                _ => "RES-NOT-PRIMARY",
-            };
-            let _ = conn.send(
-                ReplMsg::Err {
-                    code: code.to_string(),
-                    epoch: repl.epoch(),
-                }
-                .render_line()
-                .as_bytes(),
-            );
-            return;
-        }
-    }
-
-    // Resync is only sound when the follower's journal is a strict
-    // prefix of ours. Verify, don't assume: a follower claiming more
-    // records than we hold, or whose prefix checksum disagrees with the
-    // same prefix of our log (a deposed primary with an unreplicated
-    // acked suffix, rejoined as a follower), has *diverged* — streaming
-    // from `have + 1` would silently leave its journal, dedup map, and
-    // retry answers permanently disagreeing with ours.
-    let prefix_matches = {
-        let log = lock_unpoisoned(&repl.log);
-        usize::try_from(cursor)
-            .ok()
-            .and_then(|have| log.get(..have))
-            .is_some_and(|prefix| prefix_crc(prefix) == hello_pcrc)
     };
-    if !prefix_matches {
-        let _ = conn.send(
-            ReplMsg::Err {
-                code: "IO-REPL-CORRUPT".to_string(),
-                epoch: repl.epoch(),
-            }
-            .render_line()
-            .as_bytes(),
-        );
-        return;
-    }
-
-    let heartbeat = shared.config.heartbeat;
+    let clock = shared.config.clock.as_ref();
+    // One stream per connection: a follower that redials while its old
+    // link is still winding down gets a cursor of its own.
+    let link = format!("{from}#{}", LINKS.fetch_add(1, Ordering::SeqCst));
+    let wait = shared.config.heartbeat.min(Duration::from_millis(100));
     let chaos_drop = shared
         .config
         .repl_chaos
         .as_ref()
         .and_then(|c| c.drop_link_after);
     let mut sent_on_conn: u64 = 0;
-    let mut last_sent = clock.now();
-    let mut ackbuf: Vec<u8> = Vec::new();
-    loop {
-        if shared.draining.load(Ordering::SeqCst) || repl.role_state().role != Role::Primary {
-            return;
-        }
-        // Pick up anything appended past the cursor, waiting briefly for
-        // growth so an idle stream doesn't spin.
-        let batch: Vec<JournalRecord> = {
-            let mut log = lock_unpoisoned(&repl.log);
-            if (log.len() as u64) <= cursor {
-                let wait = heartbeat.min(Duration::from_millis(100));
-                let (guard, _) = repl
-                    .log_grew
-                    .wait_timeout(log, wait)
-                    .unwrap_or_else(PoisonError::into_inner);
-                log = guard;
-            }
-            log.get(cursor as usize..)
-                .map(<[_]>::to_vec)
-                .unwrap_or_default()
-        };
-        let epoch = repl.epoch();
-        for rec in batch {
-            if let Some(n) = chaos_drop {
-                if sent_on_conn >= n
-                    && repl
-                        .chaos_drops_done
-                        .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    // Injected ReplLinkDrop: tear the link down once.
-                    return;
-                }
-            }
-            let seq = cursor + 1;
-            let crc = crc32(&payload_bytes(rec.kind, &rec.rid, &rec.line));
-            let msg = ReplMsg::Rec {
-                epoch,
-                seq,
-                crc,
-                kind: rec.kind,
-                rid: rec.rid,
-                line: rec.line,
-            };
-            if conn.send(msg.render_line().as_bytes()).is_err() {
-                return;
-            }
-            cursor = seq;
-            sent_on_conn += 1;
-            last_sent = clock.now();
-        }
-        if clock.now().saturating_sub(last_sent) >= heartbeat {
-            let msg = ReplMsg::Hb {
-                epoch,
-                seq: repl.seq(),
-            };
-            if conn.send(msg.render_line().as_bytes()).is_err() {
-                return;
-            }
-            last_sent = clock.now();
-        }
-        // Drain acks without blocking the stream.
-        let mut chunk = [0u8; 1024];
-        match conn.recv(&mut chunk, Duration::from_millis(1)) {
-            Ok(n) => {
-                ackbuf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = ackbuf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = ackbuf.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line);
-                    if let Some(ReplMsg::Ack { seq }) = ReplMsg::parse(line.trim_end()) {
-                        let mut acks = lock_unpoisoned(&repl.acks);
-                        let entry = acks.entry(peer.clone()).or_insert(0);
-                        *entry = (*entry).max(seq);
+    let mut fx = repl.lock().step(
+        Event::Msg {
+            from: link.clone(),
+            msg: hello,
+        },
+        clock.now(),
+    );
+    'stream: loop {
+        for effect in fx {
+            match effect {
+                Effect::Send { msg, .. } => {
+                    if matches!(msg, ReplMsg::Rec { .. }) {
+                        if chaos_drop.is_some_and(|n| sent_on_conn >= n)
+                            && repl
+                                .chaos_drops_done
+                                .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
+                                .is_ok()
+                        {
+                            // Injected ReplLinkDrop: tear the link down once.
+                            break 'stream;
+                        }
+                        sent_on_conn += 1;
+                    }
+                    if conn.send(msg.render_line().as_bytes()).is_err() {
+                        break 'stream;
                     }
                 }
+                Effect::Close { .. } => break 'stream,
+                other => repl.apply_local(other),
             }
-            Err(NetError::Timeout) => {}
-            Err(_) => return,
         }
+        if shared.draining.load(Ordering::SeqCst) {
+            break;
+        }
+        // Acks are observability only: the socket is read just to notice
+        // a dead link.
+        let mut chunk = [0u8; 1024];
+        if let Err(NetError::Closed | NetError::Failed(_) | NetError::FrameTooLarge) =
+            conn.recv(&mut chunk, Duration::from_millis(1))
+        {
+            break;
+        }
+        // Wait briefly for the log to grow so an idle stream doesn't spin.
+        fx = {
+            let mut core = repl.lock();
+            if !core.has_pending(&link) {
+                core = repl
+                    .log_grew
+                    .wait_timeout(core, wait)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+            core.step(Event::Pump { link: link.clone() }, clock.now())
+        };
     }
+    repl.lock()
+        .step(Event::LinkDown { peer: link }, clock.now());
 }
 
 // --- follower side --------------------------------------------------------
 
-/// Why one follower connection ended.
-enum StreamEnd {
-    /// The link dropped or the primary went silent past the grace.
-    Dead,
-    /// The dialed server proved it is stale (lower epoch, or it told us
-    /// so); failover already happened somewhere — arbitrate immediately.
-    Stale,
-    /// The dialed server is not (yet) a primary; retry shortly.
-    NotYet,
-    /// The primary proved our journal is not a prefix of its own
-    /// (`IO-REPL-CORRUPT` at hello): stop replicating, never promote.
-    Diverged,
-    /// This server is draining.
-    Draining,
+/// The follower/guard thread's connections: the stream from the primary,
+/// and the jittered reconnect backoff between dials.
+struct Dialer {
+    link: Option<(String, Box<dyn Conn>)>,
+    buf: Vec<u8>,
+    attempt: u32,
+    /// The next dial sleeps first (cleared once an arbitration decides).
+    backoff: bool,
+    rng: SplitMix64,
+    policy: RetryPolicy,
+}
+
+impl Dialer {
+    fn new(shared: &Shared, self_addr: &str) -> Dialer {
+        let mut hasher = DefaultHasher::new();
+        self_addr.hash(&mut hasher);
+        let grace = shared.config.failover_grace;
+        Dialer {
+            link: None,
+            buf: Vec::new(),
+            attempt: 0,
+            backoff: false,
+            rng: SplitMix64::new(0xF0110E5 ^ hasher.finish()),
+            policy: RetryPolicy {
+                max_attempts: u32::MAX,
+                base_backoff: Duration::from_millis(25),
+                max_backoff: (grace / 4).max(Duration::from_millis(25)),
+                retry_overload: false,
+                seed: 0,
+            },
+        }
+    }
+
+    /// The next event for the core: a stream message, the end of the
+    /// stream, or a tick when nothing arrived within one poll.
+    fn next_event(&mut self, clock: &dyn Clock) -> Event {
+        let Some((peer, conn)) = &mut self.link else {
+            return Event::Tick;
+        };
+        let msg = match read_line(conn.as_mut(), &mut self.buf, POLL, POLL, clock) {
+            Ok(Some(line)) => ReplMsg::parse(&line),
+            Ok(None) => None,
+            Err(_) => return Event::Tick, // poll timeout: re-check drain and grace
+        };
+        match msg {
+            Some(msg @ (ReplMsg::Rec { .. } | ReplMsg::Hb { .. } | ReplMsg::Err { .. })) => {
+                Event::Msg {
+                    from: peer.clone(),
+                    msg,
+                }
+            }
+            // EOF, or anything else on a stream (a protocol violation).
+            _ => self.hang_up().unwrap_or(Event::Tick),
+        }
+    }
+
+    fn hang_up(&mut self) -> Option<Event> {
+        self.link.take().map(|(peer, _)| Event::LinkDown { peer })
+    }
+
+    /// Delivers one message: on the stream when it is addressed there,
+    /// else by dialing the primary (a follower's hello) or as a one-shot
+    /// exchange (status queries, fencing hellos) whose reply is the event.
+    fn send(
+        &mut self,
+        shared: &Shared,
+        following: bool,
+        to: String,
+        msg: ReplMsg,
+    ) -> Option<Event> {
+        let clock = shared.config.clock.as_ref();
+        if let Some((peer, conn)) = &mut self.link {
+            if *peer == to {
+                let lag = shared.config.repl_chaos.as_ref().and_then(|c| c.lag);
+                if let (ReplMsg::Ack { seq }, Some((lag_seq, delay))) = (&msg, lag) {
+                    if *seq == lag_seq {
+                        // Injected LaggingFollower: stall before the ack.
+                        clock.sleep(delay);
+                    }
+                }
+                return match conn.send(msg.render_line().as_bytes()) {
+                    Ok(()) => None,
+                    Err(_) => self.hang_up(),
+                };
+            }
+        }
+        let transport = shared.config.transport.as_ref();
+        match msg {
+            ReplMsg::Hello { .. } if following => self.dial(transport, clock, to, &msg),
+            ReplMsg::Hello { .. } | ReplMsg::Status => {
+                let reply = ask(transport, clock, &to, &msg, PEER_TIMEOUT)?;
+                Some(Event::Msg {
+                    from: to,
+                    msg: reply,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// Opens the stream to the primary with our hello.
+    fn dial(
+        &mut self,
+        transport: &dyn Transport,
+        clock: &dyn Clock,
+        to: String,
+        hello: &ReplMsg,
+    ) -> Option<Event> {
+        if self.backoff {
+            clock.sleep(self.policy.backoff(self.attempt.min(16), &mut self.rng));
+            self.attempt = self.attempt.saturating_add(1);
+        }
+        self.backoff = true;
+        let Ok(mut conn) = transport.connect(&to, Duration::from_millis(500)) else {
+            return Some(Event::LinkDown { peer: to });
+        };
+        self.attempt = 0;
+        if conn.send(hello.render_line().as_bytes()).is_err() {
+            return Some(Event::LinkDown { peer: to });
+        }
+        self.buf.clear();
+        self.link = Some((to.clone(), conn));
+        Some(Event::LinkUp { peer: to })
+    }
+}
+
+/// Carries out one batch of effects on the follower/guard thread,
+/// feeding the events they produce (replies, link changes, fired
+/// timers) back into the core until nothing is left to do.
+fn drive(shared: &Arc<Shared>, repl: &ReplState, dialer: &mut Dialer, fx: Vec<Effect>) {
+    let clock = shared.config.clock.as_ref();
+    let mut queue = VecDeque::from(fx);
+    while let Some(effect) = queue.pop_front() {
+        let event = match effect {
+            Effect::Send { to, msg } => {
+                let following = repl.lock().role() == Role::Follower;
+                dialer.send(shared, following, to, msg)
+            }
+            Effect::Close { peer } => {
+                if dialer.link.as_ref().is_some_and(|(p, _)| *p == peer) {
+                    dialer.link = None;
+                }
+                None
+            }
+            Effect::Append(rec) => {
+                if apply_record(shared, repl, rec) {
+                    None
+                } else {
+                    // Never ack what is not durable: drop the rest of the
+                    // batch and the link; the resync retries.
+                    queue.clear();
+                    dialer.hang_up()
+                }
+            }
+            // The window's queries already ran inline: fire at once, and
+            // dial straight after the decision.
+            Effect::Timer { timer, .. } => {
+                dialer.backoff = false;
+                Some(Event::Timer(timer))
+            }
+            Effect::Execute { rid, line } => {
+                replay(shared, &rid, &line);
+                None
+            }
+            other => {
+                repl.apply_local(other);
+                None
+            }
+        };
+        if let Some(event) = event {
+            queue.extend(repl.lock().step(event, clock.now()));
+        }
+    }
+}
+
+/// Re-executes one admitted-but-unsettled record (startup recovery or
+/// promotion) unless a shutdown signal arrived; true when it ran.
+pub(crate) fn replay(shared: &Arc<Shared>, rid: &str, line: &str) -> bool {
+    if signal::shutdown_requested() {
+        return false;
+    }
+    replay_request(shared, rid, line);
+    shared.stats.replayed.fetch_add(1, Ordering::SeqCst);
+    true
 }
 
 /// The follower thread: replicate, detect failure, arbitrate, promote.
@@ -918,239 +935,54 @@ pub(crate) fn follower_loop(shared: Arc<Shared>) {
         return;
     };
     let clock = shared.config.clock.as_ref();
-    let transport = shared.config.transport.as_ref();
-    let self_addr = lock_unpoisoned(&repl.self_addr).clone();
-    let mut hasher = DefaultHasher::new();
-    self_addr.hash(&mut hasher);
-    let mut rng = SplitMix64::new(0xF0110E5 ^ hasher.finish());
-    let grace = shared.config.failover_grace;
-    let policy = RetryPolicy {
-        max_attempts: u32::MAX,
-        base_backoff: Duration::from_millis(25),
-        max_backoff: (grace / 4).max(Duration::from_millis(25)),
-        retry_overload: false,
-        seed: 0,
-    };
-    let mut attempt: u32 = 0;
-    let mut last_contact = clock.now();
+    let self_addr = repl.lock().self_addr().to_string();
+    let mut dialer = Dialer::new(&shared, &self_addr);
     loop {
         if shared.draining.load(Ordering::SeqCst) {
             return;
         }
-        let rs = repl.role_state();
-        let primary = match (rs.role, rs.primary) {
-            (Role::Follower, Some(p)) => p,
-            (Role::Primary, _) => break, // promoted: fall through to the guard
-            _ => return,
+        let (role, diverged) = {
+            let core = repl.lock();
+            (core.role(), core.diverged())
         };
-        let end = match transport.connect(&primary, Duration::from_millis(500)) {
-            Ok(conn) => {
-                attempt = 0;
-                follow_stream(&shared, &repl, conn, &self_addr, &mut last_contact)
-            }
-            Err(_) => StreamEnd::Dead,
-        };
-        match end {
-            StreamEnd::Draining => return,
-            StreamEnd::Diverged => {
-                // Resyncing would silently fork journals; promotion
-                // would serve a history the cluster never agreed on.
-                // Park as a read-only follower until the operator wipes
-                // this journal directory and re-seeds it.
-                repl.diverged.store(true, Ordering::SeqCst);
-                eprintln!(
-                    "replication: journal diverged from primary {primary} \
-                     (IO-REPL-CORRUPT): this follower's journal is not a prefix \
-                     of the primary's; replication stopped and promotion \
-                     disabled — wipe the journal directory and re-seed"
-                );
-                return;
-            }
-            StreamEnd::Stale => {
-                // The old primary is provably deposed: arbitrate now.
-                if !arbitrate(&shared, &repl, &self_addr, &primary) {
-                    return;
-                }
-                last_contact = clock.now();
-            }
-            StreamEnd::Dead | StreamEnd::NotYet => {
-                if clock.now().saturating_sub(last_contact) > grace {
-                    if !arbitrate(&shared, &repl, &self_addr, &primary) {
-                        return;
-                    }
-                    last_contact = clock.now();
-                } else {
-                    clock.sleep(policy.backoff(attempt.min(16), &mut rng));
-                    attempt = attempt.saturating_add(1);
-                }
-            }
+        match role {
+            Role::Primary => break, // promoted: fall through to the guard
+            Role::Follower if !diverged => {}
+            _ => return, // fenced, or parked diverged
         }
+        let event = dialer.next_event(clock);
+        let fx = repl.lock().step(event, clock.now());
+        drive(&shared, &repl, &mut dialer, fx);
     }
     guard_loop(&shared);
 }
 
-/// One connected stretch of following: hello, then append/ack records
-/// until the link ends.
-fn follow_stream(
-    shared: &Arc<Shared>,
-    repl: &Arc<ReplState>,
-    mut conn: Box<dyn Conn>,
-    self_addr: &str,
-    last_contact: &mut Duration,
-) -> StreamEnd {
-    let clock = shared.config.clock.as_ref();
-    let hello = {
-        let log = lock_unpoisoned(&repl.log);
-        ReplMsg::Hello {
-            epoch: repl.epoch(),
-            have: log.len() as u64,
-            pcrc: prefix_crc(&log),
-            from: self_addr.to_string(),
-        }
-    };
-    if conn.send(hello.render_line().as_bytes()).is_err() {
-        return StreamEnd::Dead;
-    }
-    *last_contact = clock.now();
-    let grace = shared.config.failover_grace;
-    let lag = shared.config.repl_chaos.as_ref().and_then(|c| c.lag);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            return StreamEnd::Draining;
-        }
-        if clock.now().saturating_sub(*last_contact) > grace {
-            return StreamEnd::Dead;
-        }
-        let line = match read_line(conn.as_mut(), &mut buf, POLL, POLL, clock) {
-            Ok(Some(line)) => line,
-            Ok(None) => return StreamEnd::Dead,
-            Err(_) => continue, // poll timeout: re-check drain and grace
-        };
-        match ReplMsg::parse(&line) {
-            Some(ReplMsg::Rec {
-                epoch,
-                seq,
-                crc,
-                kind,
-                rid,
-                line,
-            }) => {
-                if epoch < repl.epoch() {
-                    // Records from a lower epoch are refused, always.
-                    let _ = conn.send(
-                        ReplMsg::Err {
-                            code: "RES-STALE-EPOCH".to_string(),
-                            epoch: repl.epoch(),
-                        }
-                        .render_line()
-                        .as_bytes(),
-                    );
-                    return StreamEnd::Stale;
-                }
-                repl.adopt_epoch(epoch);
-                *last_contact = clock.now();
-                let have = repl.seq();
-                if seq <= have {
-                    // Already durable (reconnect overlap): re-ack.
-                    let _ = conn.send(ReplMsg::Ack { seq: have }.render_line().as_bytes());
-                    continue;
-                }
-                if seq != have + 1 {
-                    // A gap means the stream lost sync; resync fresh.
-                    return StreamEnd::Dead;
-                }
-                if crc32(&payload_bytes(kind, &rid, &line)) != crc {
-                    // IO-REPL-CORRUPT: never append a record that fails
-                    // its checksum; drop the link and resync.
-                    repl.corrupt_refused.fetch_add(1, Ordering::SeqCst);
-                    let _ = conn.send(
-                        ReplMsg::Err {
-                            code: "IO-REPL-CORRUPT".to_string(),
-                            epoch: repl.epoch(),
-                        }
-                        .render_line()
-                        .as_bytes(),
-                    );
-                    return StreamEnd::Dead;
-                }
-                if !apply_record(shared, repl, kind, &rid, &line) {
-                    return StreamEnd::Dead;
-                }
-                if let Some((lag_seq, delay)) = lag {
-                    if seq == lag_seq {
-                        // Injected LaggingFollower: stall before the ack.
-                        clock.sleep(delay);
-                    }
-                }
-                if conn
-                    .send(ReplMsg::Ack { seq }.render_line().as_bytes())
-                    .is_err()
-                {
-                    return StreamEnd::Dead;
-                }
-            }
-            Some(ReplMsg::Hb { epoch, seq: _ }) => {
-                if epoch < repl.epoch() {
-                    return StreamEnd::Stale;
-                }
-                repl.adopt_epoch(epoch);
-                *last_contact = clock.now();
-            }
-            Some(ReplMsg::Err { code, epoch }) => {
-                repl.adopt_epoch(epoch);
-                return match code.as_str() {
-                    "RES-STALE-EPOCH" => StreamEnd::Stale,
-                    "IO-REPL-CORRUPT" => StreamEnd::Diverged,
-                    _ => StreamEnd::NotYet,
-                };
-            }
-            // Anything else on a follower link is a protocol violation.
-            _ => return StreamEnd::Dead,
-        }
-    }
-}
-
-/// Appends one verified record to the local journal (fsync'd) and keeps
-/// the dedup map and cache warmth current. Returns false on an
-/// unappendable journal (the link is torn down; a resync retries).
-fn apply_record(
-    shared: &Arc<Shared>,
-    repl: &Arc<ReplState>,
-    kind: RecordKind,
-    rid: &str,
-    line: &str,
-) -> bool {
+/// Appends one verified record to the local journal (fsync'd), settles
+/// it in the dedup ledger and publishes it to the core, then feeds sweep
+/// admits to the cache warmer. Returns false on an unappendable journal.
+fn apply_record(shared: &Arc<Shared>, repl: &ReplState, rec: JournalRecord) -> bool {
+    let warm = (rec.kind == RecordKind::Admit)
+        .then(|| WireRequest::parse(&rec.line).ok())
+        .flatten()
+        .and_then(|req| match req.op {
+            WireOp::Sweep { design, max_i } => Some((design, max_i)),
+            _ => None,
+        });
     {
         let Some(dur) = &shared.durability else {
             return false;
         };
         let mut d = lock_unpoisoned(dur);
-        if d.journal.append(kind, rid, line).is_err() {
+        if d.journal.append(rec.kind, &rec.rid, &rec.line).is_err() {
             return false;
         }
-        if kind != RecordKind::Admit {
-            d.completed
-                .insert(rid.to_string(), (kind, line.to_string()));
-        }
-        let mut log = lock_unpoisoned(&repl.log);
-        log.push(JournalRecord {
-            kind,
-            rid: rid.to_string(),
-            line: line.to_string(),
-        });
-        repl.log_grew.notify_all();
+        d.admissions.apply(&rec);
+        repl.publish(rec);
     }
     // Replay acked sweep admits into the local cache so this follower's
     // snapshots stay warm for a future promotion.
-    if kind == RecordKind::Admit {
-        if let Some(tx) = &shared.warm_tx {
-            if let Ok(req) = WireRequest::parse(line) {
-                if let WireOp::Sweep { design, max_i } = req.op {
-                    let _ = tx.send((design, max_i));
-                }
-            }
-        }
+    if let (Some(job), Some(tx)) = (warm, &shared.warm_tx) {
+        let _ = tx.send(job);
     }
     true
 }
@@ -1181,69 +1013,7 @@ pub(crate) fn warm_loop(shared: &Arc<Shared>, rx: &std::sync::mpsc::Receiver<(St
     }
 }
 
-// --- arbitration, promotion, fencing --------------------------------------
-
-/// Decides what to do about a dead (or deposed) primary. Returns `false`
-/// when the follower thread should exit (promoted → guard loop runs
-/// separately via the caller's break, or fenced).
-fn arbitrate(
-    shared: &Arc<Shared>,
-    repl: &Arc<ReplState>,
-    self_addr: &str,
-    dead_primary: &str,
-) -> bool {
-    if repl.diverged() {
-        // A diverged journal must never be promoted into the cluster's
-        // history (the follower loop also exits on divergence; this is
-        // belt and braces).
-        return false;
-    }
-    let clock = shared.config.clock.as_ref();
-    let transport = shared.config.transport.as_ref();
-    let my_epoch = repl.epoch();
-    let my_seq = repl.seq();
-    let mut max_epoch = my_epoch;
-    let mut defer = false;
-    for peer in &shared.config.peers {
-        if peer == self_addr {
-            continue;
-        }
-        let Some(st) = query_status_via(transport, clock, peer, PEER_TIMEOUT) else {
-            continue; // an unreachable peer never blocks failover
-        };
-        if st.nonce == repl.nonce {
-            // `peer` is this very server under an alias (hostname vs
-            // IP, 0.0.0.0 bind): deferring to it would deadlock the
-            // failover forever.
-            continue;
-        }
-        max_epoch = max_epoch.max(st.epoch);
-        if st.role == "primary" && st.epoch >= my_epoch {
-            // Someone already promoted: follow them.
-            repl.set_role(Role::Follower, Some(peer.clone()));
-            return true;
-        }
-        if st.role != "fenced"
-            && (st.seq > my_seq || (st.seq == my_seq && peer.as_str() < self_addr))
-        {
-            // A better-acked (or tie-winning) peer exists: defer to it.
-            eprintln!(
-                "replication: arbitration deferring to {peer} \
-                 (peer seq {} epoch {} vs ours seq {my_seq} epoch {my_epoch})",
-                st.seq, st.epoch
-            );
-            defer = true;
-        }
-    }
-    if defer {
-        // Wait one beat and re-arbitrate; the deferred-to peer either
-        // promotes (we adopt it next round) or dies (we stop deferring).
-        clock.sleep(shared.config.heartbeat);
-        return true;
-    }
-    promote(shared, repl, max_epoch, dead_primary);
-    true
-}
+// --- promotion epochs ---------------------------------------------------
 
 /// This node's collision-free epoch arithmetic: the cluster size
 /// (sorted, deduplicated `peers` ∪ self) and this node's index in it.
@@ -1281,143 +1051,19 @@ pub fn promotion_epoch(observed: u64, peers: &[String], self_addr: &str) -> u64 
     new_epoch
 }
 
-/// Promotes this follower: new epoch, snapshot install, replay of
-/// unsettled records, then primary duty.
-fn promote(shared: &Arc<Shared>, repl: &Arc<ReplState>, observed_epoch: u64, deposed: &str) {
-    repl.set_role(Role::Promoting, None);
-    let new_epoch = {
-        let self_addr = lock_unpoisoned(&repl.self_addr).clone();
-        promotion_epoch(
-            observed_epoch.max(repl.epoch()),
-            &shared.config.peers,
-            &self_addr,
-        )
-    };
-    // Best-effort persistence: an unpersistable epoch costs this server a
-    // deferral after its next restart, never a split brain (the epoch is
-    // still carried on every wire message).
-    let _ = store_epoch(&repl.epoch_path, new_epoch);
-    repl.epoch.store(new_epoch, Ordering::SeqCst);
-    *lock_unpoisoned(&repl.former_primary) = Some(deposed.to_string());
-
-    // Install whatever snapshots exist without clobbering warmer
-    // in-memory caches.
-    if let Some(dir) = &shared.config.journal_dir {
-        let mut fresh = HashMap::new();
-        if install_dir(&dir.join(SNAPSHOT_DIR), &mut fresh).is_ok() {
-            let mut caches = lock_unpoisoned(&shared.caches);
-            for (design, cache) in fresh {
-                caches.entry(design).or_insert(cache);
-            }
-        }
-    }
-
-    // Replay admitted-but-unsettled records so every key the old primary
-    // acked is settled here before the first client request lands. The
-    // log guard is dropped before the durability lock is taken: every
-    // other path (publish_record, apply_record) locks durability first
-    // and the log second, and holding both here in the opposite order
-    // is one refactor away from an ABBA deadlock.
-    let records = lock_unpoisoned(&repl.log).clone();
-    let (completed, incomplete) = fold_records(&records);
-    drop(records);
-    if let Some(dur) = &shared.durability {
-        lock_unpoisoned(dur).completed = completed;
-    }
-    for (rid, line) in incomplete {
-        if signal::shutdown_requested() {
-            break;
-        }
-        replay_request(shared, &rid, &line);
-        shared.stats.replayed.fetch_add(1, Ordering::SeqCst);
-        repl.promoted_replayed.fetch_add(1, Ordering::SeqCst);
-    }
-    persist_snapshots(shared);
-    repl.set_role(Role::Primary, None);
-}
-
-/// Sends one fencing hello to a possibly-revived deposed primary; its
-/// hello handler fences it on sight of our higher epoch. If the reply
-/// proves *we* are the stale side, fence ourselves instead.
-fn fence_hello(
-    transport: &dyn Transport,
-    clock: &dyn Clock,
-    repl: &Arc<ReplState>,
-    target: &str,
-    self_addr: &str,
-) {
-    let Ok(mut conn) = transport.connect(target, PEER_TIMEOUT) else {
-        return;
-    };
-    let hello = {
-        let log = lock_unpoisoned(&repl.log);
-        ReplMsg::Hello {
-            epoch: repl.epoch(),
-            have: log.len() as u64,
-            pcrc: prefix_crc(&log),
-            from: self_addr.to_string(),
-        }
-    };
-    if conn.send(hello.render_line().as_bytes()).is_err() {
-        return;
-    }
-    let mut buf = Vec::new();
-    if let Ok(Some(line)) = read_line(conn.as_mut(), &mut buf, PEER_TIMEOUT, POLL, clock) {
-        match ReplMsg::parse(&line) {
-            Some(ReplMsg::Rec { epoch, .. } | ReplMsg::Hb { epoch, .. })
-                if epoch > repl.epoch() =>
-            {
-                repl.fence(epoch);
-            }
-            _ => {}
-        }
-    }
-}
-
 /// The standing guard: keeps a deposed primary fenced and self-fences
-/// the moment any peer reports a higher epoch — or a primary at the
-/// *same* epoch with a lexicographically smaller address (the
-/// equal-epoch tiebreak; unreachable among configured peers because
-/// promotion epochs are collision-free, but an operator can seed two
-/// servers into the same term by hand). Runs on any server with peers
-/// configured, and on every promoted follower.
+/// the moment any peer reports a higher epoch (or wins the equal-epoch
+/// tiebreak). Runs on any server with peers configured, and on every
+/// promoted follower.
 pub(crate) fn guard_loop(shared: &Arc<Shared>) {
     let Some(repl) = &shared.repl else { return };
     let clock = shared.config.clock.as_ref();
-    let transport = shared.config.transport.as_ref();
-    let self_addr = lock_unpoisoned(&repl.self_addr).clone();
     let interval = shared.config.heartbeat.max(Duration::from_millis(100));
+    let self_addr = repl.lock().self_addr().to_string();
+    let mut dialer = Dialer::new(shared, &self_addr);
     while !shared.draining.load(Ordering::SeqCst) {
-        if repl.role_state().role == Role::Primary {
-            let my_epoch = repl.epoch();
-            if let Some(former) = lock_unpoisoned(&repl.former_primary).clone() {
-                fence_hello(transport, clock, repl, &former, &self_addr);
-            }
-            for peer in &shared.config.peers {
-                if peer == &self_addr {
-                    continue;
-                }
-                let Some(st) = query_status_via(transport, clock, peer, PEER_TIMEOUT) else {
-                    continue;
-                };
-                if st.nonce == repl.nonce {
-                    continue; // an alias of this very server
-                }
-                let superseded = st.epoch > my_epoch
-                    || (st.epoch == my_epoch
-                        && st.role == "primary"
-                        && peer.as_str() < self_addr.as_str());
-                if superseded {
-                    eprintln!(
-                        "replication: peer {peer} holds epoch {} (role {}) \
-                         against our epoch {my_epoch}: fencing ourselves",
-                        st.epoch, st.role
-                    );
-                    repl.fence(st.epoch);
-                    break;
-                }
-            }
-        }
+        let fx = repl.lock().step(Event::Tick, clock.now());
+        drive(shared, repl, &mut dialer, fx);
         clock.sleep(interval);
     }
 }

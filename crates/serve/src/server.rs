@@ -59,13 +59,13 @@
 //! [`ServerConfig::replica_of`] it is a *follower* — it streams the
 //! primary's journal into its own (fsync-before-ack), keeps caches warm,
 //! answers pings and replication status queries, rejects compute with
-//! `RES-NOT-PRIMARY`, and promotes itself (new epoch, snapshot install,
-//! replay of unsettled records) when the primary stays silent past
+//! `RES-NOT-PRIMARY`, and promotes itself (new epoch, replay of
+//! unsettled records) when the primary stays silent past
 //! [`ServerConfig::failover_grace`]. A deposed primary is *fenced*: once
 //! a higher epoch exists, every request it receives — pings included —
 //! is refused with `RES-STALE-EPOCH`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -88,10 +88,10 @@ use lintra_bench::{table2_rows_par, table3_rows_par, table4_rows_par};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::clock::{Clock, SystemClock};
-use crate::journal::{Journal, JournalRecord, RecordKind, SNAPSHOT_DIR};
-use crate::replicate::{self, ReplChaos, ReplMsg, ReplState, Role};
+use crate::journal::{Admission, Admissions, Journal, JournalRecord, RecordKind, SNAPSHOT_DIR};
+use crate::repl_core::Effect;
+use crate::replicate::{self, ReplChaos, ReplMsg, ReplState};
 use crate::results::{ResultCache, ResultKey, RESULT_CACHE_CAPACITY};
-use crate::signal;
 use crate::transport::{Acceptor, Conn, NetError, TcpTransport, Transport};
 
 /// How often blocked reads and the accept loop re-check the drain flag.
@@ -239,15 +239,11 @@ pub struct RecoveryReport {
     pub snapshots_quarantined: usize,
 }
 
-/// Idempotency state guarded by one lock: the journal's append handle,
-/// the settled-key map, and the keys currently executing.
+/// Idempotency state guarded by one lock: the journal's append handle
+/// and the dedup ledger (settled keys plus the keys executing).
 pub(crate) struct Durability {
     pub(crate) journal: Journal,
-    /// Settled keys → (how they settled, the exact response line).
-    pub(crate) completed: HashMap<String, (RecordKind, String)>,
-    /// Keys admitted but not yet settled (concurrent duplicates are
-    /// rejected with `RES-DUPLICATE-REQUEST`).
-    inflight_ids: HashSet<String>,
+    pub(crate) admissions: Admissions,
 }
 
 pub(crate) struct Shared {
@@ -351,17 +347,15 @@ impl ServerHandle {
     /// Replication role, epoch, and progress (`None` on a stateless
     /// server — replication requires durability).
     pub fn role_info(&self) -> Option<RoleInfo> {
-        let repl = self.shared.repl.as_ref()?;
-        let rs = repl.role_state();
-        let fenced_by = repl.fenced_by.load(Ordering::SeqCst);
+        let core = self.shared.repl.as_ref()?.lock();
         Some(RoleInfo {
-            role: rs.role.label(),
-            epoch: repl.epoch(),
-            seq: repl.seq(),
-            primary: rs.primary,
-            fenced_by: (fenced_by != 0).then_some(fenced_by),
-            promoted_replayed: repl.promoted_replayed.load(Ordering::SeqCst),
-            diverged: repl.diverged(),
+            role: core.role().label(),
+            epoch: core.epoch(),
+            seq: core.seq(),
+            primary: core.primary().map(str::to_string),
+            fenced_by: Some(core.fenced_by()).filter(|&by| by != 0),
+            promoted_replayed: core.promoted_replayed(),
+            diverged: core.diverged(),
         })
     }
 
@@ -474,9 +468,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
     // Recover durable state before anything can observe the server.
     let mut recovery = None;
     let mut durability = None;
-    let mut repl = None;
+    let mut epoch = None;
     let mut caches: HashMap<String, SweepCache> = HashMap::new();
-    let mut incomplete: Vec<(String, String)> = Vec::new();
     if let Some(dir) = &config.journal_dir {
         let (journal, rec) =
             Journal::open_dir_with(dir, config.journal_rotate_bytes).map_err(LintraError::from)?;
@@ -488,25 +481,18 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
         };
         load_snapshots(&dir.join(SNAPSHOT_DIR), &mut caches, &mut report)
             .map_err(LintraError::from)?;
-        incomplete = rec.incomplete;
         recovery = Some(report);
         let epoch_dir = config.epoch_dir.as_ref().unwrap_or(dir);
         std::fs::create_dir_all(epoch_dir).map_err(LintraError::from)?;
         // A corrupt epoch file is a startup error: silently resetting
         // it to epoch 1 could revive a fenced primary at a stale term.
-        repl = Some(Arc::new(
-            ReplState::new(
-                epoch_dir.join(replicate::EPOCH_FILE),
-                config.replica_of.clone(),
-                rec.records,
-                config.clock.as_ref(),
-            )
-            .map_err(|e| LintraError::from(e).context("loading the replication epoch file"))?,
-        ));
+        let path = epoch_dir.join(replicate::EPOCH_FILE);
+        let state = replicate::load_epoch_state(&path)
+            .map_err(|e| LintraError::from(e).context("loading the replication epoch file"))?;
+        epoch = Some((path, state, rec.records));
         durability = Some(Mutex::new(Durability {
             journal,
-            completed: rec.completed,
-            inflight_ids: HashSet::new(),
+            admissions: Admissions::new(rec.completed),
         }));
     }
     let is_follower = config.replica_of.is_some();
@@ -525,9 +511,15 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
             ),
         )
     })?;
-    if let Some(repl) = &repl {
-        *lock_unpoisoned(&repl.self_addr) = addr.to_string();
-    }
+    // The replication core boots once the bound address is known. Its
+    // boot effects replay admitted-but-unfinished requests on a primary.
+    let (repl, boot) = match epoch {
+        Some((path, state, records)) => {
+            let (repl, fx) = ReplState::new(&config, path, state, addr.to_string(), records);
+            (Some(Arc::new(repl)), fx)
+        }
+        None => (None, Vec::new()),
+    };
 
     let spawn_warmer = is_follower;
     let (warm_tx, warm_rx) = if spawn_warmer {
@@ -556,17 +548,16 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
 
     // Replay unfinished admissions synchronously: each settles with a
     // journaled completion, so a retry of its key dedups instead of
-    // recomputing. A follower skips this — its unsettled records replay
-    // at promotion, when it becomes the one answering for them. A
-    // shutdown signal aborts the replay at the next record boundary.
+    // recomputing. The core schedules none on a follower — its unsettled
+    // records replay at promotion, when it becomes the one answering for
+    // them — nor on a fenced server. A shutdown signal aborts the replay
+    // at the next record boundary.
     let mut replayed = 0usize;
-    if !is_follower {
-        for (rid, line) in incomplete {
-            if signal::shutdown_requested() {
+    for effect in boot {
+        if let Effect::Execute { rid, line } = effect {
+            if !replicate::replay(&shared, &rid, &line) {
                 break;
             }
-            replay_request(&shared, &rid, &line);
-            shared.stats.replayed.fetch_add(1, Ordering::SeqCst);
             replayed += 1;
         }
     }
@@ -606,7 +597,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, LintraError> {
 }
 
 /// Loads every `*.snap` in `dir` into `caches` via the engine's shared
-/// install path ([`snapshot::install_dir`] — also used at promotion); a
+/// install path ([`snapshot::install_dir`]); a
 /// snapshot that fails its checksum or invariants is quarantined, never
 /// trusted and never fatal.
 fn load_snapshots(
@@ -620,19 +611,17 @@ fn load_snapshots(
     Ok(())
 }
 
-/// Appends one record to the in-memory replication log and wakes idle
-/// follower streams. Called with the durability lock held, right after
-/// the matching journal append succeeded, so the log mirrors the journal
-/// byte-for-byte and in order.
+/// Publishes one record to the replication core. Called with the
+/// durability lock held, right after the matching journal append
+/// succeeded, so the log mirrors the journal byte-for-byte and in order.
 fn publish_record(shared: &Shared, kind: RecordKind, rid: &str, line: &str) {
-    let Some(repl) = &shared.repl else { return };
-    let mut log = lock_unpoisoned(&repl.log);
-    log.push(JournalRecord {
-        kind,
-        rid: rid.to_string(),
-        line: line.trim_end_matches('\n').to_string(),
-    });
-    repl.log_grew.notify_all();
+    if let Some(repl) = &shared.repl {
+        repl.publish(JournalRecord {
+            kind,
+            rid: rid.to_string(),
+            line: line.trim_end_matches('\n').to_string(),
+        });
+    }
 }
 
 /// Re-executes one journaled-but-unfinished request at startup and
@@ -692,11 +681,10 @@ fn settle(shared: &Arc<Shared>, rid: &str, resp: &WireResponse) {
     let line = resp.render_line();
     let trimmed = line.trim_end().to_string();
     let mut d = lock_unpoisoned(dur);
-    d.inflight_ids.remove(rid);
     if d.journal.append(kind, rid, &trimmed).is_ok() {
         publish_record(shared, kind, rid, &trimmed);
     }
-    d.completed.insert(rid.to_string(), (kind, trimmed));
+    d.admissions.settle(rid, kind, &trimmed);
 }
 
 /// Best-effort checkpoint of the sweep caches that grew since their last
@@ -793,14 +781,9 @@ fn connection_loop(shared: &Arc<Shared>, mut conn: Box<dyn Conn>) {
                         }
                         continue;
                     }
-                    ReplMsg::Hello {
-                        epoch,
-                        have,
-                        pcrc,
-                        from,
-                    } if shared.repl.is_some() => {
+                    hello @ ReplMsg::Hello { .. } if shared.repl.is_some() => {
                         // The connection becomes a follower stream.
-                        replicate::stream_to_follower(shared, conn, epoch, have, pcrc, from);
+                        replicate::stream_to_follower(shared, conn, hello);
                         return;
                     }
                     // Anything else arriving cold — or a follower
@@ -881,20 +864,10 @@ fn status_reply(shared: &Arc<Shared>) -> ReplMsg {
     let answered = shared
         .durability
         .as_ref()
-        .map(|d| lock_unpoisoned(d).completed.len() as u64)
+        .map(|d| lock_unpoisoned(d).admissions.settled() as u64)
         .unwrap_or(0);
     match &shared.repl {
-        Some(repl) => {
-            let rs = repl.role_state();
-            ReplMsg::StatusReply {
-                role: rs.role.label().to_string(),
-                epoch: repl.epoch(),
-                seq: repl.seq(),
-                answered,
-                nonce: repl.nonce,
-                primary: rs.primary,
-            }
-        }
+        Some(repl) => repl.lock().status_reply(answered),
         None => ReplMsg::StatusReply {
             role: "stateless".to_string(),
             epoch: 0,
@@ -985,46 +958,10 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
     // included — so nothing keeps trusting a deposed primary. A
     // follower answers pings (health) but sends compute to the primary.
     if let Some(repl) = &shared.repl {
-        let rs = repl.role_state();
-        match rs.role {
-            Role::Fenced => {
-                shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-                let by = repl.fenced_by.load(Ordering::SeqCst);
-                let epoch = repl.epoch();
-                // After a restart the superseded epoch is no longer
-                // known — the epoch file only carries the superseding
-                // one — so name just the fence in that case.
-                let message = if epoch < by {
-                    format!(
-                        "epoch {epoch} was superseded by epoch {by}; this server is \
-                         fenced — talk to the current primary"
-                    )
-                } else {
-                    format!(
-                        "this server is durably fenced as of epoch {by} — talk to the \
-                         current primary, or rejoin it with --replica-of"
-                    )
-                };
-                return reject(&req.id, ErrorClass::Resource, "RES-STALE-EPOCH", message);
-            }
-            Role::Follower | Role::Promoting if !matches!(req.op, WireOp::Ping) => {
-                shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-                let hint = rs
-                    .primary
-                    .map(|p| format!("; the primary is {p}"))
-                    .unwrap_or_default();
-                return reject(
-                    &req.id,
-                    ErrorClass::Resource,
-                    "RES-NOT-PRIMARY",
-                    format!(
-                        "this server is a {} replica and does not accept compute \
-                         requests{hint}",
-                        rs.role.label()
-                    ),
-                );
-            }
-            _ => {}
+        let gate = repl.lock().gate(!matches!(req.op, WireOp::Ping));
+        if let Err((code, message)) = gate {
+            shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
+            return reject(&req.id, ErrorClass::Resource, code, message);
         }
     }
 
@@ -1113,9 +1050,8 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
     let mut journaled = false;
     if let (Some(dur), Some(rid)) = (&shared.durability, req.request_id.as_deref()) {
         let mut d = lock_unpoisoned(dur);
-        if let Some((kind, stored)) = d.completed.get(rid) {
-            if kind.serves_retries() {
-                let stored = stored.clone();
+        match d.admissions.admit(rid) {
+            Admission::Answer(stored) => {
                 drop(d);
                 shared.stats.deduped.fetch_add(1, Ordering::SeqCst);
                 return match WireResponse::parse(&stored) {
@@ -1141,21 +1077,22 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> LineOutcome {
                     }
                 };
             }
-            // An aborted attempt (resource/I-O) settles the admit but
-            // earns the retry a fresh execution: fall through.
-        }
-        if !d.inflight_ids.insert(rid.to_string()) {
-            drop(d);
-            shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
-            return reject(
-                &req.id,
-                ErrorClass::Resource,
-                "RES-DUPLICATE-REQUEST",
-                format!("request_id `{rid}` is already executing; await its outcome, then retry"),
-            );
+            Admission::Duplicate => {
+                drop(d);
+                shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
+                return reject(
+                    &req.id,
+                    ErrorClass::Resource,
+                    "RES-DUPLICATE-REQUEST",
+                    format!(
+                        "request_id `{rid}` is already executing; await its outcome, then retry"
+                    ),
+                );
+            }
+            Admission::Fresh => {}
         }
         if let Err(e) = d.journal.append(RecordKind::Admit, rid, line) {
-            d.inflight_ids.remove(rid);
+            d.admissions.abandon(rid);
             drop(d);
             shared.stats.requests_failed.fetch_add(1, Ordering::SeqCst);
             return reject(

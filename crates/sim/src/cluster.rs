@@ -1,33 +1,32 @@
-//! The simulated cluster node: a single-threaded, event-driven
-//! re-implementation of the `lintra-serve` replication state machine
-//! over the simulator's message-passing network.
+//! The simulated cluster node: a thin single-threaded shell around the
+//! shipped [`ReplCore`] — the same state machine the threaded server
+//! drives — over the simulator's message-passing network.
 //!
-//! The node is a *model*, but not a toy: every wire line it sends or
-//! receives goes through the real codecs ([`ReplMsg`], [`WireRequest`],
-//! [`WireResponse`]), journals are real [`JournalRecord`] vectors
-//! checksummed with the real [`prefix_crc`], promotion epochs come from
-//! the real [`promotion_epoch`] arithmetic, and restart semantics mirror
-//! `ReplState::new` (journal and epoch state are durable; everything
-//! else is lost with the incarnation). What the model elides is the
-//! thread-per-connection plumbing — replaced by the event queue — and
-//! the optimizer itself, replaced by a deterministic pure function of
-//! the request so response byte-identity is checkable structurally.
+//! The shell owns what a process owns and nothing more: durable state
+//! (journal records and the epoch file, which survive a crash), the
+//! dedup [`Admissions`] ledger, liveness (`up`, `incarnation`), clock
+//! skew, and the request executor — a deterministic stand-in for the
+//! optimizer ([`compute_response`]) that settles after a virtual
+//! `exec_ms`. Every replication decision is the core's. Connections
+//! become addressed lines on the event queue, so [`Effect::Close`] is a
+//! no-op here: a lost connection is simply silence.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::time::Duration;
 
-use lintra::engine::snapshot::crc32;
 use lintra::matrix::rng::SplitMix64;
 use lintra::ErrorClass;
 use lintra_bench::json::Json;
 use lintra_bench::wire::{WireFailure, WireRequest, WireResponse};
-use lintra_serve::journal::{fold_records, payload_bytes, CompletedMap, JournalRecord, RecordKind};
-use lintra_serve::replicate::{prefix_crc, promotion_epoch, EpochState, ReplMsg, Role};
+use lintra_serve::journal::{fold_records, Admission, Admissions, JournalRecord, RecordKind};
+use lintra_serve::replicate::{EpochState, ReplMsg, Role};
+use lintra_serve::{CoreConfig, Effect, Event, ReplCore, Timer};
 
 use crate::SimBug;
 
-/// Side effects a node handler asks the harness to perform.
+/// Side effects a node asks the harness to perform.
 #[derive(Debug)]
 pub(crate) enum Out {
     /// Send one wire line to an address (node or client).
@@ -36,8 +35,9 @@ pub(crate) enum Out {
     Timer { delay_ms: u64, timer: NodeTimer },
     /// Append a line to the run trace.
     Trace(String),
-    /// Report an invariant violation observed inside the node.
-    Violation(String),
+    /// A request executed here; `settled` is true when its key already
+    /// had a retry-serving answer — a recompute.
+    Executed { rid: String, settled: bool },
 }
 
 /// Node-owned timers; all carry the incarnation that armed them, so a
@@ -46,130 +46,102 @@ pub(crate) enum Out {
 pub(crate) enum NodeTimer {
     /// A journaled request finishes executing.
     Exec { rid: String, reply_to: String },
-    /// Arbitration window closed: decide on the collected replies.
-    ArbDecide { round: u64 },
+    /// A timer the replication core armed.
+    Core(Timer),
+}
+
+/// The virtual timings a node's core and executor run on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Timing {
+    pub tick_ms: u64,
+    pub grace_ms: u64,
+    pub exec_ms: u64,
 }
 
 /// One simulated server.
-pub(crate) struct SimNode {
+pub(crate) struct Node {
     pub addr: String,
-    /// Full cluster address list (self included) — the promotion stride.
-    pub cluster: Vec<String>,
-    /// The primary this node was *configured* to replicate from
-    /// (restart semantics depend on it, exactly like `--replica-of`).
-    pub replica_of: Option<String>,
-    pub nonce: u64,
+    cfg: CoreConfig,
+    /// The configured primary (`--replica-of`): restart semantics
+    /// depend on it.
+    replica_of: Option<String>,
+    bug: SimBug,
+    exec_ms: u64,
 
     // --- durable state: survives crash/restart ---
     pub journal: Vec<JournalRecord>,
-    pub epoch_state: EpochState,
+    epoch_file: EpochState,
 
     // --- volatile state: lost with the incarnation ---
+    pub core: ReplCore,
+    admissions: Admissions,
     pub up: bool,
     pub incarnation: u64,
-    pub role: Role,
-    /// Whom this follower currently follows (may differ from
-    /// `replica_of` after adopting a promoted peer).
-    pub primary: Option<String>,
-    pub former_primary: Option<String>,
-    pub completed: CompletedMap,
-    pub inflight: HashSet<String>,
-    /// Follower: the stream is live (hello accepted, records flowing).
-    pub synced: bool,
-    pub last_contact_ms: u64,
-    /// Primary: follower streams as (addr, next cursor). Vec keeps the
-    /// iteration order deterministic.
-    pub streams: Vec<(String, u64)>,
-    pub arb: Option<ArbState>,
-    pub arb_round: u64,
-    /// Times each rid was actually executed on this node (invariant 3).
-    pub exec_count: HashMap<String, u64>,
-    /// Journal length at the moment of fencing/divergence: the frozen
-    /// floor invariant 4 is checked against.
-    pub frozen_len: Option<usize>,
-    pub diverged: bool,
     /// Timer skew: every delay is scaled by `skew_num / 10`.
     pub skew_num: u64,
-    pub promotions: u64,
-    pub fences: u64,
+    /// Retries answered from the journal with zero recompute.
     pub deduped: u64,
 }
 
-/// Replies collected during one arbitration window.
-pub(crate) struct ArbState {
-    pub round: u64,
-    /// `(peer addr, role label, epoch, seq, nonce)` in arrival order.
-    pub replies: Vec<(String, String, u64, u64, u64)>,
+fn ms(t: u64) -> Duration {
+    Duration::from_millis(t)
 }
 
-impl SimNode {
-    pub(crate) fn new(index: usize, cluster: Vec<String>, replica_of: Option<String>) -> SimNode {
-        let addr = cluster
-            .get(index)
-            .cloned()
-            .unwrap_or_else(|| format!("n{index}"));
-        let role = if replica_of.is_some() {
-            Role::Follower
-        } else {
-            Role::Primary
-        };
-        SimNode {
-            addr,
-            primary: replica_of.clone(),
-            replica_of,
-            cluster,
+impl Node {
+    pub(crate) fn new(
+        index: usize,
+        cluster: &[String],
+        replica_of: Option<String>,
+        timing: Timing,
+        bug: SimBug,
+    ) -> Node {
+        let addr = cluster[index].clone();
+        let cfg = CoreConfig {
+            self_addr: addr.clone(),
+            peers: cluster.iter().filter(|a| **a != addr).cloned().collect(),
+            grace: ms(timing.grace_ms),
+            // Every primary tick carries a heartbeat on an idle stream.
+            heartbeat: ms(timing.tick_ms / 2),
+            peer_timeout: ms(timing.tick_ms * 2),
             nonce: index as u64 + 1,
+        };
+        let epoch_file = EpochState {
+            epoch: 1,
+            fenced: false,
+        };
+        let core = ReplCore::new(
+            cfg.clone(),
+            epoch_file,
+            replica_of.clone(),
+            Vec::new(),
+            ms(0),
+        )
+        .0;
+        let mut node = Node {
+            addr,
+            cfg,
+            replica_of,
+            bug,
+            exec_ms: timing.exec_ms,
             journal: Vec::new(),
-            epoch_state: EpochState {
-                epoch: 1,
-                fenced: false,
-            },
+            epoch_file,
+            core,
+            admissions: Admissions::default(),
             up: true,
             incarnation: 0,
-            role,
-            former_primary: None,
-            completed: CompletedMap::new(),
-            inflight: HashSet::new(),
-            synced: false,
-            last_contact_ms: 0,
-            streams: Vec::new(),
-            arb: None,
-            arb_round: 0,
-            exec_count: HashMap::new(),
-            frozen_len: None,
-            diverged: false,
             skew_num: 10,
-            promotions: 0,
-            fences: 0,
             deduped: 0,
-        }
-    }
-
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch_state.epoch
-    }
-
-    fn adopt_epoch(&mut self, epoch: u64) {
-        if epoch > self.epoch_state.epoch {
-            self.epoch_state.epoch = epoch; // durable, like store_epoch
-        }
-    }
-
-    fn fence(&mut self, superseded_by: u64, now_ms: u64, outs: &mut Vec<Out>) {
-        self.epoch_state = EpochState {
-            epoch: superseded_by.max(self.epoch_state.epoch),
-            fenced: true,
         };
-        self.role = Role::Fenced;
-        self.primary = None;
-        self.streams.clear();
-        self.arb = None;
-        self.frozen_len = Some(self.journal.len());
-        self.fences += 1;
-        outs.push(Out::Trace(format!(
-            "t={now_ms}ms {}: fenced by epoch {superseded_by}",
-            self.addr
-        )));
+        node.inject_bug();
+        node
+    }
+
+    fn inject_bug(&mut self) {
+        if self.bug == SimBug::CollidingPromotionEpoch {
+            // The naive rule: observed + 1, so two partitioned followers
+            // can promote into the *same* epoch.
+            self.core.set_epoch_rule(|observed, _, _| observed + 1);
+        }
     }
 
     /// Crash: volatile state is gone; journal and epoch file persist.
@@ -178,747 +150,236 @@ impl SimNode {
         self.incarnation += 1;
     }
 
-    /// Restart, mirroring `ReplState::new`: a configured `--replica-of`
-    /// rejoin clears a persisted fence; a fenced standalone stays
-    /// fenced; an unfenced standalone comes back as primary and replays
-    /// its admitted-but-unsettled records before serving.
-    pub(crate) fn restart(&mut self, now_ms: u64, exec_ms: u64, outs: &mut Vec<Out>) {
+    /// Restart: a fresh core booted from the durable state, exactly as a
+    /// restarted server process boots one.
+    pub(crate) fn restart(&mut self, now: u64, outs: &mut Vec<Out>) {
         self.up = true;
         self.incarnation += 1;
-        let (completed, incomplete) = fold_records(&self.journal);
-        self.completed = completed;
-        self.inflight = HashSet::new();
-        self.streams = Vec::new();
-        self.arb = None;
-        self.synced = false;
-        self.last_contact_ms = now_ms;
-        self.former_primary = None;
-        self.diverged = false; // volatile, like the real AtomicBool
-        match (&self.replica_of, self.epoch_state.fenced) {
-            (Some(primary), fenced) => {
-                if fenced {
-                    self.epoch_state.fenced = false; // operator-chosen rejoin
-                }
-                self.frozen_len = None;
-                self.role = Role::Follower;
-                self.primary = Some(primary.clone());
-            }
-            (None, true) => {
-                self.role = Role::Fenced;
-                self.frozen_len = Some(self.journal.len());
-            }
-            (None, false) => {
-                self.role = Role::Primary;
-                self.frozen_len = None;
-                // Startup replay: settle every admitted-but-unfinished
-                // key so retries dedup instead of recomputing.
-                for (rid, line) in incomplete {
-                    self.execute(&rid, &line, now_ms, exec_ms, None, outs);
-                }
-            }
-        }
+        let (core, boot) = ReplCore::new(
+            self.cfg.clone(),
+            self.epoch_file,
+            self.replica_of.clone(),
+            self.journal.clone(),
+            ms(now),
+        );
+        self.core = core;
+        self.inject_bug();
+        self.admissions = Admissions::new(fold_records(&self.journal).0);
         outs.push(Out::Trace(format!(
-            "t={now_ms}ms {}: restarted as {} (epoch {})",
+            "t={now}ms {}: restarted as {} (epoch {})",
             self.addr,
-            self.role.label(),
-            self.epoch()
+            self.core.role().label(),
+            self.core.epoch()
         )));
+        self.apply(boot, now, outs);
     }
 
-    /// The periodic tick: follower liveness and resync, primary heartbeat
-    /// and guard probing. Returns the side effects; the harness
-    /// reschedules the tick itself.
-    pub(crate) fn on_tick(&mut self, now_ms: u64, grace_ms: u64, peer_timeout_ms: u64) -> Vec<Out> {
-        let mut outs = Vec::new();
-        if !self.up {
-            return outs;
-        }
-        match self.role {
-            Role::Follower if !self.diverged => {
-                if !self.synced {
-                    if let Some(primary) = self.primary.clone() {
-                        outs.push(Out::Send {
-                            to: primary,
-                            line: self.hello_line(),
-                        });
-                    }
-                }
-                if now_ms.saturating_sub(self.last_contact_ms) > grace_ms && self.arb.is_none() {
-                    self.arb_round += 1;
-                    self.arb = Some(ArbState {
-                        round: self.arb_round,
-                        replies: Vec::new(),
-                    });
-                    for peer in self.peers() {
-                        outs.push(Out::Send {
-                            to: peer,
-                            line: ReplMsg::Status.render_line().trim_end().to_string(),
-                        });
-                    }
-                    outs.push(Out::Timer {
-                        delay_ms: peer_timeout_ms,
-                        timer: NodeTimer::ArbDecide {
-                            round: self.arb_round,
-                        },
-                    });
-                }
-            }
-            Role::Primary => {
-                let epoch = self.epoch();
-                let seq = self.journal.len() as u64;
-                for (addr, cursor) in self.streams.clone() {
-                    self.pump_stream(&addr, cursor, &mut outs);
-                    outs.push(Out::Send {
-                        to: addr,
-                        line: ReplMsg::Hb { epoch, seq }
-                            .render_line()
-                            .trim_end()
-                            .to_string(),
-                    });
-                }
-                // The guard: probe peers for a higher epoch, and keep a
-                // fencing hello aimed at the deposed primary.
-                for peer in self.peers() {
-                    outs.push(Out::Send {
-                        to: peer,
-                        line: ReplMsg::Status.render_line().trim_end().to_string(),
-                    });
-                }
-                if let Some(former) = self.former_primary.clone() {
-                    outs.push(Out::Send {
-                        to: former,
-                        line: self.hello_line(),
-                    });
-                }
-            }
-            _ => {}
-        }
-        outs
+    /// The periodic tick: the core's housekeeping, then heartbeats.
+    pub(crate) fn on_tick(&mut self, now: u64, outs: &mut Vec<Out>) {
+        let fx = self.core.step(Event::Tick, ms(now));
+        self.apply(fx, now, outs);
+        self.pump(now, outs);
     }
 
     /// One wire line arrives from `from`.
-    pub(crate) fn on_line(
-        &mut self,
-        from: &str,
-        line: &str,
-        now_ms: u64,
-        exec_ms: u64,
-        bug: SimBug,
-    ) -> Vec<Out> {
-        let mut outs = Vec::new();
-        if !self.up {
-            return outs;
-        }
-        if let Some(msg) = ReplMsg::parse(line) {
-            self.on_repl(from, msg, now_ms, bug, &mut outs);
-        } else {
-            self.on_request(from, line, now_ms, exec_ms, &mut outs);
-        }
-        outs
-    }
-
-    fn on_repl(&mut self, from: &str, msg: ReplMsg, now_ms: u64, bug: SimBug, outs: &mut Vec<Out>) {
-        match msg {
-            ReplMsg::Hello {
-                epoch, have, pcrc, ..
-            } => self.on_hello(from, epoch, have, pcrc, now_ms, outs),
-            ReplMsg::Rec {
-                epoch,
-                seq,
-                crc,
-                kind,
-                rid,
-                line,
-            } => self.on_rec(from, epoch, seq, crc, kind, &rid, &line, now_ms, outs),
-            ReplMsg::Hb { epoch, seq } => self.on_hb(from, epoch, seq, now_ms, outs),
-            ReplMsg::Ack { .. } => {} // observability only, like the real primary
-            ReplMsg::Err { code, epoch } => self.on_peer_err(&code, epoch, now_ms, outs),
-            ReplMsg::Status => {
-                outs.push(Out::Send {
-                    to: from.to_string(),
-                    line: ReplMsg::StatusReply {
-                        role: self.role.label().to_string(),
-                        epoch: self.epoch(),
-                        seq: self.journal.len() as u64,
-                        answered: self.completed.len() as u64,
-                        nonce: self.nonce,
-                        primary: self.primary.clone(),
-                    }
-                    .render_line()
-                    .trim_end()
-                    .to_string(),
-                });
+    pub(crate) fn on_line(&mut self, from: &str, line: &str, now: u64, outs: &mut Vec<Out>) {
+        match ReplMsg::parse(line) {
+            Some(ReplMsg::Status) => {
+                let reply = self.core.status_reply(self.admissions.settled() as u64);
+                outs.push(send(from, &reply.render_line()));
             }
-            ReplMsg::StatusReply {
-                role,
-                epoch,
-                seq,
-                nonce,
-                ..
-            } => self.on_status_reply(from, &role, epoch, seq, nonce, now_ms, bug, outs),
+            Some(msg) => {
+                let event = Event::Msg {
+                    from: from.to_string(),
+                    msg,
+                };
+                let fx = self.core.step(event, ms(now));
+                self.apply(fx, now, outs);
+            }
+            None => self.on_request(from, line, outs, now),
         }
     }
 
-    /// Hello handling, mirroring `stream_to_follower`: a higher-epoch
-    /// hello fences us on sight; otherwise only a primary streams, and
-    /// only to a follower whose journal is a verified prefix of ours.
-    fn on_hello(
-        &mut self,
-        from: &str,
-        hello_epoch: u64,
-        have: u64,
-        pcrc: u32,
-        now_ms: u64,
-        outs: &mut Vec<Out>,
-    ) {
-        if hello_epoch > self.epoch() {
-            self.fence(hello_epoch, now_ms, outs);
-            outs.push(self.err_to(from, "RES-STALE-EPOCH"));
-            return;
-        }
-        match self.role {
-            Role::Primary => {}
-            Role::Fenced => {
-                outs.push(self.err_to(from, "RES-STALE-EPOCH"));
-                return;
-            }
-            _ => {
-                outs.push(self.err_to(from, "RES-NOT-PRIMARY"));
-                return;
-            }
-        }
-        let prefix_ok = usize::try_from(have)
-            .ok()
-            .and_then(|have| self.journal.get(..have))
-            .is_some_and(|prefix| prefix_crc(prefix) == pcrc);
-        if !prefix_ok {
-            outs.push(self.err_to(from, "IO-REPL-CORRUPT"));
-            return;
-        }
-        self.streams.retain(|(addr, _)| addr != from);
-        self.streams.push((from.to_string(), have));
-        self.pump_stream(from, have, outs);
-        outs.push(Out::Send {
-            to: from.to_string(),
-            line: ReplMsg::Hb {
-                epoch: self.epoch(),
-                seq: self.journal.len() as u64,
-            }
-            .render_line()
-            .trim_end()
-            .to_string(),
-        });
-    }
-
-    /// Streams every journal record past `cursor` to one follower.
-    fn pump_stream(&mut self, to: &str, cursor: u64, outs: &mut Vec<Out>) {
-        let epoch = self.epoch();
-        let from_idx = usize::try_from(cursor).unwrap_or(usize::MAX);
-        let records: Vec<JournalRecord> = self
-            .journal
-            .get(from_idx..)
-            .map(<[_]>::to_vec)
-            .unwrap_or_default();
-        let mut seq = cursor;
-        for rec in records {
-            seq += 1;
-            let crc = crc32(&payload_bytes(rec.kind, &rec.rid, &rec.line));
-            outs.push(Out::Send {
-                to: to.to_string(),
-                line: ReplMsg::Rec {
-                    epoch,
-                    seq,
-                    crc,
-                    kind: rec.kind,
-                    rid: rec.rid,
-                    line: rec.line,
+    pub(crate) fn on_timer(&mut self, timer: NodeTimer, now: u64, outs: &mut Vec<Out>) {
+        match timer {
+            NodeTimer::Exec { rid, reply_to } => {
+                if self.core.role() != Role::Primary {
+                    // Deposed mid-execution: the admit stays unsettled in
+                    // our journal; whoever promoted replays it.
+                    self.admissions.abandon(&rid);
+                    return;
                 }
-                .render_line()
-                .trim_end()
-                .to_string(),
-            });
-        }
-        for (addr, c) in &mut self.streams {
-            if addr == to {
-                *c = (*c).max(seq);
+                let line = self
+                    .journal
+                    .iter()
+                    .rev()
+                    .find(|r| r.kind == RecordKind::Admit && r.rid == rid)
+                    .map(|r| r.line.clone())
+                    .unwrap_or_default();
+                self.execute(&rid, &line, Some(&reply_to), outs);
+                self.pump(now, outs);
+            }
+            NodeTimer::Core(timer) => {
+                let fx = self.core.step(Event::Timer(timer), ms(now));
+                self.apply(fx, now, outs);
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_rec(
-        &mut self,
-        from: &str,
-        epoch: u64,
-        seq: u64,
-        crc: u32,
-        kind: RecordKind,
-        rid: &str,
-        line: &str,
-        now_ms: u64,
-        outs: &mut Vec<Out>,
-    ) {
-        if self.role != Role::Follower || self.diverged {
-            return; // only a live follower consumes a stream
+    /// Carries out the core's effects; streams whatever the journal
+    /// gained to every follower afterwards (the condvar wake).
+    fn apply(&mut self, fx: Vec<Effect>, now: u64, outs: &mut Vec<Out>) {
+        let mut queue = VecDeque::from(fx);
+        let grew = self.journal.len();
+        while let Some(effect) = queue.pop_front() {
+            match effect {
+                Effect::Send { to, msg } => outs.push(send(&to, &msg.render_line())),
+                Effect::Close { .. } => {}
+                Effect::Append(rec) => self.append(rec),
+                Effect::PersistEpoch(state) => self.epoch_file = state,
+                Effect::Timer { after, timer } if after.is_zero() => {
+                    queue.extend(self.core.step(Event::Timer(timer), ms(now)));
+                }
+                Effect::Timer { after, timer } => outs.push(Out::Timer {
+                    delay_ms: after.as_millis() as u64,
+                    timer: NodeTimer::Core(timer),
+                }),
+                Effect::Execute { rid, line } => self.execute(&rid, &line, None, outs),
+                Effect::Trace(text) => {
+                    outs.push(Out::Trace(format!("t={now}ms {}: {text}", self.addr)));
+                }
+            }
         }
-        if epoch < self.epoch() {
-            outs.push(self.err_to(from, "RES-STALE-EPOCH"));
-            self.synced = false;
-            return;
-        }
-        self.adopt_epoch(epoch);
-        self.last_contact_ms = now_ms;
-        self.synced = true;
-        let have = self.journal.len() as u64;
-        if seq <= have {
-            outs.push(Out::Send {
-                to: from.to_string(),
-                line: ReplMsg::Ack { seq: have }
-                    .render_line()
-                    .trim_end()
-                    .to_string(),
-            });
-            return;
-        }
-        if seq != have + 1 {
-            // A gap: the stream lost sync (dropped message); re-hello.
-            self.synced = false;
-            return;
-        }
-        if crc32(&payload_bytes(kind, rid, line)) != crc {
-            outs.push(self.err_to(from, "IO-REPL-CORRUPT"));
-            self.synced = false;
-            return;
-        }
-        self.journal.push(JournalRecord {
-            kind,
-            rid: rid.to_string(),
-            line: line.to_string(),
-        });
-        if kind.serves_retries() || kind == RecordKind::Abort {
-            self.completed
-                .insert(rid.to_string(), (kind, line.to_string()));
-        }
-        outs.push(Out::Send {
-            to: from.to_string(),
-            line: ReplMsg::Ack { seq }.render_line().trim_end().to_string(),
-        });
-    }
-
-    fn on_hb(&mut self, from: &str, epoch: u64, seq: u64, now_ms: u64, outs: &mut Vec<Out>) {
-        if self.role != Role::Follower || self.diverged {
-            return;
-        }
-        if epoch < self.epoch() {
-            outs.push(self.err_to(from, "RES-STALE-EPOCH"));
-            self.synced = false;
-            return;
-        }
-        self.adopt_epoch(epoch);
-        self.last_contact_ms = now_ms;
-        if seq > self.journal.len() as u64 {
-            // The heartbeat proves records we never saw: resync.
-            self.synced = false;
-        } else {
-            self.synced = true;
+        if self.journal.len() > grew {
+            self.pump(now, outs);
         }
     }
 
-    /// A peer refused us. Mirrors `follow_stream`'s `StreamEnd`
-    /// mapping: stale → arbitrate at the next tick (grace is up),
-    /// corrupt → diverged, parked forever.
-    fn on_peer_err(&mut self, code: &str, epoch: u64, now_ms: u64, outs: &mut Vec<Out>) {
-        if self.role != Role::Follower {
-            return;
-        }
-        self.adopt_epoch(epoch);
-        match code {
-            "RES-STALE-EPOCH" => {
-                // The dialed primary is provably deposed: stop counting
-                // its silence as liveness so arbitration starts now.
-                self.synced = false;
-                self.last_contact_ms = 0;
-            }
-            "IO-REPL-CORRUPT" => {
-                self.diverged = true;
-                self.synced = false;
-                self.frozen_len = Some(self.journal.len());
-                outs.push(Out::Trace(format!(
-                    "t={now_ms}ms {}: journal diverged (IO-REPL-CORRUPT); parked read-only",
-                    self.addr
-                )));
-            }
-            _ => {
-                self.synced = false;
+    /// Lets every primary-side stream ship what it has.
+    fn pump(&mut self, now: u64, outs: &mut Vec<Out>) {
+        for link in self.core.stream_links() {
+            for effect in self.core.step(Event::Pump { link }, ms(now)) {
+                if let Effect::Send { to, msg } = effect {
+                    outs.push(send(&to, &msg.render_line()));
+                }
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_status_reply(
-        &mut self,
-        from: &str,
-        role: &str,
-        epoch: u64,
-        seq: u64,
-        nonce: u64,
-        now_ms: u64,
-        _bug: SimBug,
-        outs: &mut Vec<Out>,
-    ) {
-        if nonce == self.nonce {
-            return; // talking to ourselves through an alias
-        }
-        if let Some(arb) = &mut self.arb {
-            arb.replies
-                .push((from.to_string(), role.to_string(), epoch, seq, nonce));
-            return;
-        }
-        if self.role == Role::Primary {
-            // The guard: a higher epoch anywhere — or an equal-epoch
-            // primary with a lexicographically smaller address — wins.
-            let superseded = epoch > self.epoch()
-                || (epoch == self.epoch() && role == "primary" && from < self.addr.as_str());
-            if superseded {
-                self.fence(epoch, now_ms, outs);
-            }
-        }
+    /// Journals one record (durable on push) and hands it to the core.
+    fn append(&mut self, rec: JournalRecord) {
+        self.admissions.apply(&rec);
+        self.journal.push(rec.clone());
+        self.core.publish(rec);
     }
 
-    /// The arbitration window closed: follow a live primary, defer to a
-    /// better-acked peer, or promote.
-    pub(crate) fn on_arb_decide(
-        &mut self,
-        round: u64,
-        now_ms: u64,
-        exec_ms: u64,
-        bug: SimBug,
-        outs: &mut Vec<Out>,
-    ) {
-        let Some(arb) = self.arb.take() else { return };
-        if arb.round != round || self.role != Role::Follower || self.diverged {
-            return;
-        }
-        let my_epoch = self.epoch();
-        let my_seq = self.journal.len() as u64;
-        let mut max_epoch = my_epoch;
-        let mut defer = false;
-        for (peer, role, epoch, seq, _) in &arb.replies {
-            max_epoch = max_epoch.max(*epoch);
-            if role == "primary" && *epoch >= my_epoch {
-                self.primary = Some(peer.clone());
-                self.synced = false;
-                self.last_contact_ms = now_ms;
-                outs.push(Out::Trace(format!(
-                    "t={now_ms}ms {}: adopting promoted primary {peer} (epoch {epoch})",
-                    self.addr
-                )));
-                return;
-            }
-            if role != "fenced"
-                && (*seq > my_seq || (*seq == my_seq && peer.as_str() < self.addr.as_str()))
-            {
-                defer = true;
-            }
-        }
-        if defer {
-            return; // grace is still expired: the next tick re-arbitrates
-        }
-        self.promote(max_epoch, now_ms, exec_ms, bug, outs);
-    }
-
-    fn promote(
-        &mut self,
-        observed: u64,
-        now_ms: u64,
-        exec_ms: u64,
-        bug: SimBug,
-        outs: &mut Vec<Out>,
-    ) {
-        let observed = observed.max(self.epoch());
-        let new_epoch = match bug {
-            // The injected fencing bug: pick observed + 1 like a naive
-            // implementation would, so two partitioned followers can
-            // promote into the *same* epoch.
-            SimBug::CollidingPromotionEpoch => observed + 1,
-            SimBug::None => promotion_epoch(observed, &self.cluster, &self.addr),
-        };
-        self.epoch_state = EpochState {
-            epoch: new_epoch,
-            fenced: false,
-        };
-        self.former_primary = self.primary.take();
-        self.role = Role::Primary;
-        self.streams.clear();
-        self.promotions += 1;
-        outs.push(Out::Trace(format!(
-            "t={now_ms}ms {}: promoted to epoch {new_epoch}",
-            self.addr
-        )));
-        // Replay admitted-but-unsettled records so every key the old
-        // primary acked is settled here before the first client lands.
-        let (_, incomplete) = fold_records(&self.journal);
-        for (rid, line) in incomplete {
-            self.execute(&rid, &line, now_ms, exec_ms, None, outs);
-        }
-    }
-
-    /// A client request line (the real wire schema).
-    fn on_request(
-        &mut self,
-        from: &str,
-        line: &str,
-        now_ms: u64,
-        exec_ms: u64,
-        outs: &mut Vec<Out>,
-    ) {
+    /// A client request line (the real wire schema): the core's role
+    /// gate, then the dedup ledger, then admit and execute.
+    fn on_request(&mut self, from: &str, line: &str, outs: &mut Vec<Out>, now: u64) {
         let req = match WireRequest::parse(line) {
             Ok(req) => req,
             Err(e) => {
-                outs.push(self.respond(
-                    from,
-                    &WireResponse::err(
-                        "",
-                        failure(ErrorClass::Validation, "VAL-MALFORMED-REQUEST", e),
-                    ),
-                ));
+                let resp = WireResponse::err(
+                    "",
+                    failure(ErrorClass::Validation, "VAL-MALFORMED-REQUEST", e),
+                );
+                outs.push(send(from, &resp.render_line()));
                 return;
             }
         };
-        match self.role {
-            Role::Fenced => {
-                outs.push(self.respond(
-                    from,
-                    &WireResponse::err(
-                        req.id,
-                        failure(
-                            ErrorClass::Resource,
-                            "RES-STALE-EPOCH",
-                            format!("this server was deposed at epoch {}", self.epoch()),
-                        ),
-                    ),
-                ));
-                return;
-            }
-            Role::Follower | Role::Promoting => {
-                outs.push(self.respond(
-                    from,
-                    &WireResponse::err(
-                        req.id,
-                        failure(
-                            ErrorClass::Resource,
-                            "RES-NOT-PRIMARY",
-                            "this server is a replica; ask the primary",
-                        ),
-                    ),
-                ));
-                return;
-            }
-            Role::Primary => {}
+        // Every simulated request stands in for compute.
+        if let Err((code, message)) = self.core.gate(true) {
+            let resp = WireResponse::err(req.id, failure(ErrorClass::Resource, code, message));
+            outs.push(send(from, &resp.render_line()));
+            return;
         }
         let Some(rid) = req.request_id.clone() else {
             // Unkeyed requests answer immediately (ping-like).
-            outs.push(self.respond(from, &WireResponse::ok(req.id, Json::obj([]))));
+            let resp = WireResponse::ok(req.id, Json::obj([]));
+            outs.push(send(from, &resp.render_line()));
             return;
         };
-        if let Some((kind, stored)) = self.completed.get(&rid) {
-            if kind.serves_retries() {
+        let resp = match self.admissions.admit(&rid) {
+            Admission::Answer(stored) => {
                 // Byte-identical journal-served retry, zero recompute.
                 self.deduped += 1;
-                let stored = stored.clone();
-                if let Ok(mut resp) = WireResponse::parse(&stored) {
-                    resp.id = req.id.clone();
-                    outs.push(self.respond(from, &resp));
-                } else {
-                    outs.push(self.respond(
-                        from,
-                        &WireResponse::err(
-                            req.id,
-                            failure(
-                                ErrorClass::Io,
-                                "IO-FAILURE",
-                                "journaled response unreadable",
-                            ),
+                match WireResponse::parse(&stored) {
+                    Ok(mut resp) => {
+                        resp.id = req.id;
+                        resp
+                    }
+                    Err(_) => WireResponse::err(
+                        req.id,
+                        failure(
+                            ErrorClass::Io,
+                            "IO-FAILURE",
+                            "journaled response unreadable",
                         ),
-                    ));
+                    ),
                 }
+            }
+            Admission::Duplicate => WireResponse::err(
+                req.id,
+                failure(
+                    ErrorClass::Resource,
+                    "RES-DUPLICATE-REQUEST",
+                    format!("request_id `{rid}` is already executing"),
+                ),
+            ),
+            Admission::Fresh => {
+                // Admit: journal (fsync) before execution, replicate, execute.
+                self.append(JournalRecord {
+                    kind: RecordKind::Admit,
+                    rid: rid.clone(),
+                    line: line.trim_end().to_string(),
+                });
+                self.pump(now, outs);
+                outs.push(Out::Timer {
+                    delay_ms: self.exec_ms,
+                    timer: NodeTimer::Exec {
+                        rid,
+                        reply_to: from.to_string(),
+                    },
+                });
                 return;
             }
-        }
-        if self.inflight.contains(&rid) {
-            outs.push(self.respond(
-                from,
-                &WireResponse::err(
-                    req.id,
-                    failure(
-                        ErrorClass::Resource,
-                        "RES-DUPLICATE-REQUEST",
-                        format!("request_id `{rid}` is already executing"),
-                    ),
-                ),
-            ));
-            return;
-        }
-        // Admit: journal (fsync) before execution, replicate, execute.
-        self.append(RecordKind::Admit, &rid, line.trim_end(), outs);
-        self.inflight.insert(rid.clone());
-        outs.push(Out::Timer {
-            delay_ms: exec_ms,
-            timer: NodeTimer::Exec {
-                rid,
-                reply_to: from.to_string(),
-            },
-        });
-        let _ = now_ms;
-    }
-
-    /// The execution timer fired: settle the admitted request.
-    pub(crate) fn on_exec(
-        &mut self,
-        rid: &str,
-        reply_to: &str,
-        now_ms: u64,
-        exec_ms: u64,
-        outs: &mut Vec<Out>,
-    ) {
-        if self.role != Role::Primary {
-            // Deposed mid-execution: the admit stays unsettled in our
-            // journal; whoever promoted replays it.
-            self.inflight.remove(rid);
-            return;
-        }
-        let line = self
-            .journal
-            .iter()
-            .rev()
-            .find(|r| r.kind == RecordKind::Admit && r.rid == rid)
-            .map(|r| r.line.clone())
-            .unwrap_or_default();
-        self.execute(rid, &line, now_ms, exec_ms, Some(reply_to), outs);
+        };
+        outs.push(send(from, &resp.render_line()));
     }
 
     /// Executes one admitted request: deterministic compute, Done/Fail
-    /// journal record, dedup-map publish, reply (when a client is still
-    /// attached). The `exec_count` bump is what invariant 3 audits.
-    fn execute(
-        &mut self,
-        rid: &str,
-        line: &str,
-        _now_ms: u64,
-        _exec_ms: u64,
-        reply_to: Option<&str>,
-        outs: &mut Vec<Out>,
-    ) {
-        if let Some((kind, _)) = self.completed.get(rid) {
-            if kind.serves_retries() {
-                outs.push(Out::Violation(format!(
-                    "{}: recomputed settled request_id `{rid}`",
-                    self.addr
-                )));
-            }
-        }
-        *self.exec_count.entry(rid.to_string()).or_insert(0) += 1;
-        self.inflight.remove(rid);
+    /// journal record, reply (when a client is still attached).
+    fn execute(&mut self, rid: &str, line: &str, reply_to: Option<&str>, outs: &mut Vec<Out>) {
+        outs.push(Out::Executed {
+            rid: rid.to_string(),
+            settled: self.admissions.answer(rid).is_some(),
+        });
         let resp = compute_response(rid, line);
-        let resp_line = resp.render_line().trim_end().to_string();
         let kind = if resp.outcome.is_ok() {
             RecordKind::Done
         } else {
             RecordKind::Fail
         };
-        self.append(kind, rid, &resp_line, outs);
-        self.completed
-            .insert(rid.to_string(), (kind, resp_line.clone()));
-        if let Some(to) = reply_to {
-            outs.push(Out::Send {
-                to: to.to_string(),
-                line: resp_line,
-            });
-        }
-    }
-
-    /// Appends one record to the journal and streams it to every
-    /// follower immediately (the real primary's publish + notify path).
-    fn append(&mut self, kind: RecordKind, rid: &str, line: &str, outs: &mut Vec<Out>) {
-        self.journal.push(JournalRecord {
+        let resp_line = resp.render_line().trim_end().to_string();
+        self.append(JournalRecord {
             kind,
             rid: rid.to_string(),
-            line: line.to_string(),
+            line: resp_line.clone(),
         });
-        let epoch = self.epoch();
-        let seq = self.journal.len() as u64;
-        let crc = crc32(&payload_bytes(kind, rid, line));
-        let streams: Vec<String> = self
-            .streams
-            .iter()
-            .filter(|(_, cursor)| *cursor == seq - 1)
-            .map(|(addr, _)| addr.clone())
-            .collect();
-        for addr in streams {
-            outs.push(Out::Send {
-                to: addr.clone(),
-                line: ReplMsg::Rec {
-                    epoch,
-                    seq,
-                    crc,
-                    kind,
-                    rid: rid.to_string(),
-                    line: line.to_string(),
-                }
-                .render_line()
-                .trim_end()
-                .to_string(),
-            });
-            for (a, c) in &mut self.streams {
-                if *a == addr {
-                    *c = seq;
-                }
-            }
-        }
-    }
-
-    fn peers(&self) -> Vec<String> {
-        self.cluster
-            .iter()
-            .filter(|a| **a != self.addr)
-            .cloned()
-            .collect()
-    }
-
-    fn hello_line(&self) -> String {
-        ReplMsg::Hello {
-            epoch: self.epoch(),
-            have: self.journal.len() as u64,
-            pcrc: prefix_crc(&self.journal),
-            from: self.addr.clone(),
-        }
-        .render_line()
-        .trim_end()
-        .to_string()
-    }
-
-    fn err_to(&self, to: &str, code: &str) -> Out {
-        Out::Send {
-            to: to.to_string(),
-            line: ReplMsg::Err {
-                code: code.to_string(),
-                epoch: self.epoch(),
-            }
-            .render_line()
-            .trim_end()
-            .to_string(),
-        }
-    }
-
-    fn respond(&self, to: &str, resp: &WireResponse) -> Out {
-        Out::Send {
-            to: to.to_string(),
-            line: resp.render_line().trim_end().to_string(),
+        if let Some(to) = reply_to {
+            outs.push(send(to, &resp_line));
         }
     }
 }
 
-fn failure(class: ErrorClass, code: &str, message: impl Into<String>) -> WireFailure {
+fn send(to: &str, line: &str) -> Out {
+    Out::Send {
+        to: to.to_string(),
+        line: line.trim_end().to_string(),
+    }
+}
+
+pub(crate) fn failure(class: ErrorClass, code: &str, message: impl Into<String>) -> WireFailure {
     WireFailure {
         class,
         code: code.to_string(),

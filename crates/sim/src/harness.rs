@@ -8,7 +8,8 @@
 //! 2. every acked journal prefix is byte-identical to the journal of
 //!    the primary it was acked to;
 //! 3. a settled `request_id` is answered byte-identically with zero
-//!    recompute, forever (checked both in-node and across the wire);
+//!    recompute, forever (checked at every execution and across the
+//!    wire);
 //! 4. a fenced or diverged journal never grows;
 //! 5. once faults stop, the cluster re-converges to exactly one
 //!    unfenced primary and every request — including post-heal probes —
@@ -27,20 +28,72 @@ use lintra::ErrorClass;
 use lintra_bench::wire::{WireOp, WireRequest, WireResponse};
 use lintra_serve::replicate::{ReplMsg, Role};
 
-use crate::cluster::{NodeTimer, Out, SimNode};
+use crate::cluster::{Node, NodeTimer, Out, Timing};
 use crate::{Scripted, SimConfig, SimReport};
 
-/// Sentinel incarnation for deliveries addressed to clients (clients
-/// never crash, so the check never fires for them).
-const CLIENT_INC: u64 = u64::MAX;
+/// Invariant bookkeeping for one node, fed from its executions and its
+/// role transitions (the nodes themselves only run the shipped core).
+#[derive(Debug, Default)]
+pub(crate) struct Audit {
+    /// Times each rid executed on this node.
+    pub exec_count: HashMap<String, u64>,
+    /// Journal length when the node was fenced or parked diverged: the
+    /// frozen floor invariant 4 holds it to.
+    pub frozen_len: Option<usize>,
+    role: Option<Role>,
+    pub promotions: u64,
+    pub fences: u64,
+}
+
+impl Audit {
+    pub(crate) fn new(node: &Node) -> Audit {
+        let mut audit = Audit::default();
+        audit.restarted(node);
+        audit
+    }
+
+    /// Notes the node's role after an event.
+    pub(crate) fn observe(&mut self, node: &Node) {
+        let role = node.core.role();
+        if self.role != Some(role) {
+            match role {
+                Role::Primary => self.promotions += 1,
+                Role::Fenced => self.fences += 1,
+                _ => {}
+            }
+            self.role = Some(role);
+        }
+        if (role == Role::Fenced || node.core.diverged()) && self.frozen_len.is_none() {
+            self.frozen_len = Some(node.journal.len());
+        }
+    }
+
+    /// A restart is not a transition: take the booted role as given.
+    pub(crate) fn restarted(&mut self, node: &Node) {
+        self.role = Some(node.core.role());
+        self.frozen_len = None;
+        self.observe(node);
+    }
+
+    /// One execution; returns a violation when it recomputed a key that
+    /// was already settled.
+    pub(crate) fn executed(&mut self, addr: &str, rid: String, settled: bool) -> Option<String> {
+        *self.exec_count.entry(rid.clone()).or_insert(0) += 1;
+        settled.then(|| format!("{addr}: recomputed settled request_id `{rid}`"))
+    }
+}
+
+/// Sentinel incarnation for deliveries addressed to clients or the
+/// router (they never crash, so the check never fires for them).
+pub(crate) const CLIENT_INC: u64 = u64::MAX;
 
 /// Hard ceiling on processed events: a scheduling bug must fail the
 /// run, not hang the test suite.
-const MAX_EVENTS: u64 = 2_000_000;
+pub(crate) const MAX_EVENTS: u64 = 2_000_000;
 
 /// Stop collecting after this many violations; one broken invariant
 /// tends to echo.
-const MAX_VIOLATIONS: usize = 32;
+pub(crate) const MAX_VIOLATIONS: usize = 32;
 
 #[derive(Debug)]
 enum Ev {
@@ -83,25 +136,26 @@ enum FaultEv {
     HealAll,
 }
 
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    ev: Ev,
+/// One queued event, ordered by `(virtual time, insertion seq)`.
+pub(crate) struct Scheduled<E> {
+    pub at: u64,
+    pub seq: u64,
+    pub ev: E,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Scheduled<E>) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<std::cmp::Ordering> {
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Scheduled<E>) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Scheduled) -> std::cmp::Ordering {
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Scheduled<E>) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
@@ -124,10 +178,11 @@ struct SimClient {
 pub(crate) struct Harness<'a> {
     cfg: &'a SimConfig,
     seed: u64,
-    nodes: Vec<SimNode>,
+    nodes: Vec<Node>,
+    audits: Vec<Audit>,
     node_addrs: Vec<String>,
     clients: Vec<SimClient>,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: BinaryHeap<Reverse<Scheduled<Ev>>>,
     seq: u64,
     now: u64,
     rng: SplitMix64,
@@ -156,10 +211,15 @@ impl<'a> Harness<'a> {
     fn new(seed: u64, cfg: &'a SimConfig) -> Harness<'a> {
         let n = cfg.nodes.max(1);
         let node_addrs: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();
-        let nodes = (0..n)
+        let timing = Timing {
+            tick_ms: cfg.tick_ms,
+            grace_ms: cfg.grace_ms,
+            exec_ms: cfg.exec_ms,
+        };
+        let nodes: Vec<Node> = (0..n)
             .map(|i| {
                 let replica_of = (i != 0).then(|| node_addrs[0].clone());
-                SimNode::new(i, node_addrs.clone(), replica_of)
+                Node::new(i, &node_addrs, replica_of, timing, cfg.bug)
             })
             .collect();
         let clients = (0..cfg.clients)
@@ -178,6 +238,7 @@ impl<'a> Harness<'a> {
         Harness {
             cfg,
             seed,
+            audits: nodes.iter().map(Audit::new).collect(),
             nodes,
             node_addrs,
             clients,
@@ -322,8 +383,8 @@ impl<'a> Harness<'a> {
         match ev {
             Ev::NodeTick { node, inc } => {
                 if self.nodes[node].up && self.nodes[node].incarnation == inc {
-                    let outs =
-                        self.nodes[node].on_tick(self.now, self.cfg.grace_ms, self.cfg.tick_ms * 2);
+                    let mut outs = Vec::new();
+                    self.nodes[node].on_tick(self.now, &mut outs);
                     self.process_outs(node, outs);
                     let at = self.now + self.tick_delay(node);
                     self.schedule(at, Ev::NodeTick { node, inc });
@@ -332,26 +393,7 @@ impl<'a> Harness<'a> {
             Ev::NodeTimer { node, inc, timer } => {
                 if self.nodes[node].up && self.nodes[node].incarnation == inc {
                     let mut outs = Vec::new();
-                    match timer {
-                        NodeTimer::Exec { rid, reply_to } => {
-                            self.nodes[node].on_exec(
-                                &rid,
-                                &reply_to,
-                                self.now,
-                                self.cfg.exec_ms,
-                                &mut outs,
-                            );
-                        }
-                        NodeTimer::ArbDecide { round } => {
-                            self.nodes[node].on_arb_decide(
-                                round,
-                                self.now,
-                                self.cfg.exec_ms,
-                                self.cfg.bug,
-                                &mut outs,
-                            );
-                        }
-                    }
+                    self.nodes[node].on_timer(timer, self.now, &mut outs);
                     self.process_outs(node, outs);
                 }
             }
@@ -370,13 +412,8 @@ impl<'a> Harness<'a> {
                     if !self.nodes[ni].up || self.nodes[ni].incarnation != to_inc {
                         return; // the connection died with the process
                     }
-                    let outs = self.nodes[ni].on_line(
-                        &from,
-                        &line,
-                        self.now,
-                        self.cfg.exec_ms,
-                        self.cfg.bug,
-                    );
+                    let mut outs = Vec::new();
+                    self.nodes[ni].on_line(&from, &line, self.now, &mut outs);
                     self.process_outs(ni, outs);
                 } else if let Some(ci) = self.client_index(&to) {
                     self.client_on_line(ci, &line);
@@ -400,7 +437,7 @@ impl<'a> Harness<'a> {
                 self.final_primaries = self
                     .nodes
                     .iter()
-                    .filter(|n| n.up && n.role == Role::Primary && !n.epoch_state.fenced)
+                    .filter(|n| n.up && n.core.role() == Role::Primary)
                     .count();
                 if self.final_primaries != 1 {
                     self.violate(format!(
@@ -478,7 +515,8 @@ impl<'a> Harness<'a> {
             return;
         }
         let mut outs = Vec::new();
-        self.nodes[i].restart(self.now, self.cfg.exec_ms, &mut outs);
+        self.nodes[i].restart(self.now, &mut outs);
+        self.audits[i].restarted(&self.nodes[i]);
         self.process_outs(i, outs);
         let inc = self.nodes[i].incarnation;
         let at = self.now + self.tick_delay(i);
@@ -503,9 +541,14 @@ impl<'a> Harness<'a> {
                     );
                 }
                 Out::Trace(t) => self.trace.push(t),
-                Out::Violation(v) => self.violate(format!("invariant 3: {v}")),
+                Out::Executed { rid, settled } => {
+                    if let Some(v) = self.audits[ni].executed(&from, rid, settled) {
+                        self.violate(format!("invariant 3: {v}"));
+                    }
+                }
             }
         }
+        self.audits[ni].observe(&self.nodes[ni]);
     }
 
     /// Puts one line on the wire: applies partitions, loss, duplication
@@ -675,14 +718,15 @@ impl<'a> Harness<'a> {
         let mut primary_epochs: Vec<u64> = Vec::new();
         let mut dup_epoch = None;
         let mut frozen_grew = Vec::new();
-        for node in &self.nodes {
-            if node.up && node.role == Role::Primary && !node.epoch_state.fenced {
-                if primary_epochs.contains(&node.epoch()) {
-                    dup_epoch = Some(node.epoch());
+        for (node, audit) in self.nodes.iter().zip(&self.audits) {
+            let epoch = node.core.epoch();
+            if node.up && node.core.role() == Role::Primary {
+                if primary_epochs.contains(&epoch) {
+                    dup_epoch = Some(epoch);
                 }
-                primary_epochs.push(node.epoch());
+                primary_epochs.push(epoch);
             }
-            if let Some(frozen) = node.frozen_len {
+            if let Some(frozen) = audit.frozen_len {
                 if node.journal.len() != frozen {
                     frozen_grew.push(format!(
                         "invariant 4: fenced/diverged {} journal changed \
@@ -744,8 +788,8 @@ impl<'a> Harness<'a> {
             answered: self.answered,
             settled: self.settled.len() as u64,
             deduped: self.nodes.iter().map(|n| n.deduped).sum(),
-            promotions: self.nodes.iter().map(|n| n.promotions).sum(),
-            fences: self.nodes.iter().map(|n| n.fences).sum(),
+            promotions: self.audits.iter().map(|a| a.promotions).sum(),
+            fences: self.audits.iter().map(|a| a.fences).sum(),
             final_primaries: self.final_primaries,
             violations: self.violations,
             trace: self.trace,

@@ -22,23 +22,27 @@
 //!   [`lintra_serve::Transport`]). These run the *real*
 //!   [`lintra_serve::Client`] against scripted endpoints with zero real
 //!   sleeping.
-//! - [`run_sim`]: the discrete-event cluster simulation. Nodes are a
-//!   faithful single-threaded model of the serve replication state
-//!   machine — real wire codecs, real journal records and CRCs, real
-//!   [`promotion_epoch`](lintra_serve::promotion_epoch) arithmetic,
-//!   real restart semantics — driven through seeded fault swarms while
-//!   the harness machine-checks five invariants after every event (one
+//! - [`run_sim`]: the discrete-event cluster simulation. Every node runs
+//!   the *shipped* replication state machine,
+//!   [`ReplCore`](lintra_serve::ReplCore) — the same sans-IO code the
+//!   threaded server drives — inside a thin shell that replaces sockets
+//!   with queued lines, the disk with in-memory durable state, and the
+//!   optimizer with a deterministic stand-in. The nodes are driven
+//!   through seeded fault swarms while the harness machine-checks five
+//!   invariants after every event (one
 //!   unfenced primary per epoch; acked prefixes byte-identical; settled
 //!   `request_id`s answered byte-identically with zero recompute;
 //!   fenced/diverged journals frozen; bounded re-convergence after
 //!   faults stop).
 //!
 //! [`SimBug`] can re-introduce a known-fatal bug (colliding promotion
-//! epochs) to prove the invariant checks have teeth; the checked-in
-//! regression seed in `tests/sim.rs` catches it every time.
+//! epochs, through the core's test-only epoch-rule seam) to prove the
+//! invariant checks have teeth; the checked-in regression seed in
+//! `tests/sim.rs` catches it every time.
 //!
-//! A third layer, [`run_shard_sim`], extends the model to a *sharded*
-//! cluster: M replicated shard groups behind a deterministic model of
+//! A third layer, [`run_shard_sim`], extends the simulation to a
+//! *sharded* cluster: M replicated shard groups (the same node shell
+//! around the same core) behind a deterministic model of
 //! the `lintra route` front end, built on the real
 //! [`ShardRing`](lintra_serve::ShardRing) /
 //! [`RetryBudget`](lintra_serve::RetryBudget) arithmetic, with its own
@@ -60,7 +64,7 @@ pub use vclock::{Reply, ScriptedNet, SimClock};
 /// harness detects the class of failure it claims to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBug {
-    /// No injected bug: the faithful protocol model.
+    /// No injected bug: the shipped protocol.
     #[default]
     None,
     /// Promote to `observed + 1` instead of the collision-free

@@ -3,9 +3,9 @@
 //!
 //! The router model is *not* a reimplementation of the routing math —
 //! it runs the real [`ShardRing`], the real [`RetryBudget`] arithmetic,
-//! and the real [`routing_key`] precedence, while the shard groups are
-//! the same [`SimNode`] replication model the cluster simulation
-//! drives. What this harness adds is the failure surface the threaded
+//! and the real [`routing_key`] precedence, while every shard replica
+//! runs the shipped replication core through the same node shell the
+//! cluster simulation drives. What this harness adds is the failure surface the threaded
 //! router cannot schedule deterministically: a shard blackout racing a
 //! hedge, a retry landing during a failover, the budget draining while
 //! a breaker is half-open.
@@ -35,24 +35,13 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use lintra::matrix::rng::SplitMix64;
 use lintra::ErrorClass;
-use lintra_bench::wire::{WireFailure, WireOp, WireRequest, WireResponse};
+use lintra_bench::wire::{WireOp, WireRequest, WireResponse};
 use lintra_serve::replicate::{ReplMsg, Role};
 use lintra_serve::router::{routing_key, RetryBudget, ShardRing};
 
-use crate::cluster::{NodeTimer, Out, SimNode};
+use crate::cluster::{failure, Node, NodeTimer, Out, Timing};
+use crate::harness::{Audit, Scheduled, CLIENT_INC, MAX_EVENTS, MAX_VIOLATIONS};
 use crate::SimBug;
-
-/// Sentinel incarnation for deliveries to the router or a client
-/// (neither crashes, so the staleness check never fires for them).
-const CLIENT_INC: u64 = u64::MAX;
-
-/// Hard ceiling on processed events: a scheduling bug must fail the
-/// run, not hang the test suite.
-const MAX_EVENTS: u64 = 2_000_000;
-
-/// Stop collecting after this many violations; one broken invariant
-/// tends to echo.
-const MAX_VIOLATIONS: usize = 32;
 
 /// Consecutive attempt failures before a shard's breaker opens.
 const BREAKER_THRESHOLD: u64 = 3;
@@ -292,29 +281,6 @@ enum FaultEv {
     HealAll,
 }
 
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Scheduled) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// One simulated client: works through its keys in order, but rotates
 /// a key to the back of the queue when the router reports its shard
 /// degraded — other work continues while one shard is down.
@@ -366,10 +332,11 @@ struct ShardHarness<'a> {
     seed: u64,
     groups: usize,
     npg: usize,
-    nodes: Vec<SimNode>,
+    nodes: Vec<Node>,
+    audits: Vec<Audit>,
     node_addrs: Vec<String>,
     clients: Vec<ShardClient>,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: BinaryHeap<Reverse<Scheduled<Ev>>>,
     seq: u64,
     now: u64,
     rng: SplitMix64,
@@ -401,13 +368,18 @@ impl<'a> ShardHarness<'a> {
     fn new(seed: u64, cfg: &'a ShardSimConfig) -> ShardHarness<'a> {
         let groups = cfg.groups.max(1);
         let npg = cfg.nodes_per_group.max(1);
+        let timing = Timing {
+            tick_ms: cfg.tick_ms,
+            grace_ms: cfg.grace_ms,
+            exec_ms: cfg.exec_ms,
+        };
         let mut nodes = Vec::with_capacity(groups * npg);
         let mut node_addrs = Vec::with_capacity(groups * npg);
         for g in 0..groups {
             let cluster: Vec<String> = (0..npg).map(|i| format!("s{g}n{i}")).collect();
             for i in 0..npg {
                 let replica_of = (i != 0).then(|| cluster[0].clone());
-                nodes.push(SimNode::new(i, cluster.clone(), replica_of));
+                nodes.push(Node::new(i, &cluster, replica_of, timing, SimBug::None));
             }
             node_addrs.extend(cluster);
         }
@@ -431,6 +403,7 @@ impl<'a> ShardHarness<'a> {
             seed,
             groups,
             npg,
+            audits: nodes.iter().map(Audit::new).collect(),
             nodes,
             node_addrs,
             clients,
@@ -515,8 +488,8 @@ impl<'a> ShardHarness<'a> {
         match ev {
             Ev::NodeTick { node, inc } => {
                 if self.nodes[node].up && self.nodes[node].incarnation == inc {
-                    let outs =
-                        self.nodes[node].on_tick(self.now, self.cfg.grace_ms, self.cfg.tick_ms * 2);
+                    let mut outs = Vec::new();
+                    self.nodes[node].on_tick(self.now, &mut outs);
                     self.process_outs(node, outs);
                     self.schedule(self.now + self.cfg.tick_ms, Ev::NodeTick { node, inc });
                 }
@@ -524,26 +497,7 @@ impl<'a> ShardHarness<'a> {
             Ev::NodeTimer { node, inc, timer } => {
                 if self.nodes[node].up && self.nodes[node].incarnation == inc {
                     let mut outs = Vec::new();
-                    match timer {
-                        NodeTimer::Exec { rid, reply_to } => {
-                            self.nodes[node].on_exec(
-                                &rid,
-                                &reply_to,
-                                self.now,
-                                self.cfg.exec_ms,
-                                &mut outs,
-                            );
-                        }
-                        NodeTimer::ArbDecide { round } => {
-                            self.nodes[node].on_arb_decide(
-                                round,
-                                self.now,
-                                self.cfg.exec_ms,
-                                SimBug::None,
-                                &mut outs,
-                            );
-                        }
-                    }
+                    self.nodes[node].on_timer(timer, self.now, &mut outs);
                     self.process_outs(node, outs);
                 }
             }
@@ -567,13 +521,8 @@ impl<'a> ShardHarness<'a> {
                     if !self.nodes[ni].up || self.nodes[ni].incarnation != to_inc {
                         return; // the connection died with the process
                     }
-                    let outs = self.nodes[ni].on_line(
-                        &from,
-                        &line,
-                        self.now,
-                        self.cfg.exec_ms,
-                        SimBug::None,
-                    );
+                    let mut outs = Vec::new();
+                    self.nodes[ni].on_line(&from, &line, self.now, &mut outs);
                     self.process_outs(ni, outs);
                 } else if let Some(ci) = self.client_index(&to) {
                     self.client_on_line(ci, &line);
@@ -974,7 +923,8 @@ impl<'a> ShardHarness<'a> {
                 for i in 0..self.nodes.len() {
                     if !self.nodes[i].up {
                         let mut outs = Vec::new();
-                        self.nodes[i].restart(self.now, self.cfg.exec_ms, &mut outs);
+                        self.nodes[i].restart(self.now, &mut outs);
+                        self.audits[i].restarted(&self.nodes[i]);
                         self.process_outs(i, outs);
                         let inc = self.nodes[i].incarnation;
                         self.schedule(self.now + self.cfg.tick_ms, Ev::NodeTick { node: i, inc });
@@ -1001,7 +951,7 @@ impl<'a> ShardHarness<'a> {
                 .iter()
                 .skip(g * self.npg)
                 .take(self.npg)
-                .filter(|n| n.up && n.role == Role::Primary && !n.epoch_state.fenced)
+                .filter(|n| n.up && n.core.role() == Role::Primary)
                 .count();
             if primaries != 1 {
                 self.violate(format!(
@@ -1011,16 +961,11 @@ impl<'a> ShardHarness<'a> {
             }
             // R3: a rid executes at most once inside its group unless
             // an explicit failover replayed it.
-            let promotions: u64 = self
-                .nodes
-                .iter()
-                .skip(g * self.npg)
-                .take(self.npg)
-                .map(|n| n.promotions)
-                .sum();
+            let group = &self.audits[g * self.npg..(g + 1) * self.npg];
+            let promotions: u64 = group.iter().map(|a| a.promotions).sum();
             let mut execs: HashMap<String, u64> = HashMap::new();
-            for n in self.nodes.iter().skip(g * self.npg).take(self.npg) {
-                for (rid, count) in &n.exec_count {
+            for audit in group {
+                for (rid, count) in &audit.exec_count {
                     *execs.entry(rid.clone()).or_insert(0) += count;
                 }
             }
@@ -1072,21 +1017,21 @@ impl<'a> ShardHarness<'a> {
         for g in 0..self.groups {
             let mut epochs: Vec<u64> = Vec::new();
             for n in self.nodes.iter().skip(g * self.npg).take(self.npg) {
-                if n.up && n.role == Role::Primary && !n.epoch_state.fenced {
-                    if epochs.contains(&n.epoch()) {
+                let epoch = n.core.epoch();
+                if n.up && n.core.role() == Role::Primary {
+                    if epochs.contains(&epoch) {
                         self.violate(format!(
-                            "invariant R4: two unfenced primaries on shard {g} share epoch {}",
-                            n.epoch()
+                            "invariant R4: two unfenced primaries on shard {g} share epoch {epoch}"
                         ));
                         break;
                     }
-                    epochs.push(n.epoch());
+                    epochs.push(epoch);
                 }
             }
         }
         let mut frozen_grew = Vec::new();
-        for n in &self.nodes {
-            if let Some(frozen) = n.frozen_len {
+        for (n, audit) in self.nodes.iter().zip(&self.audits) {
+            if let Some(frozen) = audit.frozen_len {
                 if n.journal.len() != frozen {
                     frozen_grew.push(format!(
                         "invariant R4: fenced/diverged {} journal changed \
@@ -1122,9 +1067,14 @@ impl<'a> ShardHarness<'a> {
                     );
                 }
                 Out::Trace(t) => self.trace.push(t),
-                Out::Violation(v) => self.violate(format!("invariant R3: {v}")),
+                Out::Executed { rid, settled } => {
+                    if let Some(v) = self.audits[ni].executed(&from, rid, settled) {
+                        self.violate(format!("invariant R3: {v}"));
+                    }
+                }
             }
         }
+        self.audits[ni].observe(&self.nodes[ni]);
     }
 
     /// Puts one line on the wire: loss and jitter apply to every link
@@ -1184,19 +1134,11 @@ impl<'a> ShardHarness<'a> {
             hedges: self.stats.hedges,
             shed: self.stats.shed,
             shard_down: self.stats.shard_down,
-            promotions: self.nodes.iter().map(|n| n.promotions).sum(),
-            fences: self.nodes.iter().map(|n| n.fences).sum(),
+            promotions: self.audits.iter().map(|a| a.promotions).sum(),
+            fences: self.audits.iter().map(|a| a.fences).sum(),
             violations: self.violations,
             trace: self.trace,
         }
-    }
-}
-
-fn failure(class: ErrorClass, code: &str, message: impl Into<String>) -> WireFailure {
-    WireFailure {
-        class,
-        code: code.to_string(),
-        message: message.into(),
     }
 }
 

@@ -54,6 +54,14 @@ echo "== simulation: fixed-seed swarm smoke =="
 timeout --kill-after=10 30 ./target/release/lintra sim --seed 1 --swarm 64 \
   | tail -n 1
 
+echo "== simulation: sharded-sim smoke =="
+# The shard groups run the shipped replication core too; both outage
+# shapes re-check it behind the router model.
+for scenario in blackout primary-crash; do
+  timeout --kill-after=10 30 ./target/release/lintra sim --shards 3 --seed 1 --swarm 16 \
+    --scenario "$scenario" | tail -n 1
+done
+
 echo "== service: scripts/chaos.sh =="
 ./scripts/chaos.sh
 

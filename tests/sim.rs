@@ -85,6 +85,25 @@ fn swarm_smoke_fifty_seeds_hold_all_invariants() {
     assert!(reports.iter().all(|r| r.settled > 0));
 }
 
+/// A two-node pair, the smallest deployment that fails over: a revived
+/// stale primary must be fenced by the hello of its promoted peer before
+/// it can refuse that peer's journal as divergent.
+#[test]
+fn two_node_swarm_holds_all_invariants() {
+    let config = SimConfig {
+        nodes: 2,
+        ..SimConfig::default()
+    };
+    for report in run_seed_range(1, 50, &config) {
+        assert!(
+            report.passed(),
+            "seed {} violated invariants:\n{}",
+            report.seed,
+            report.repro()
+        );
+    }
+}
+
 #[test]
 fn regression_seed_catches_colliding_promotion_epochs() {
     let buggy = run_sim(
@@ -104,6 +123,25 @@ fn regression_seed_catches_colliding_promotion_epochs() {
     // clean: the violation comes from the injected bug, not the model.
     let clean = run_sim(REGRESSION_SEED, &split_brain_config(SimBug::None));
     assert!(clean.passed(), "{}", clean.repro());
+}
+
+/// The checked-in liveness regression seed: a partitioned follower
+/// promoted alone, the other follower then diverged against it, and
+/// after its restart the sole live candidate deferred forever to the
+/// better-acked — but parked — diverged follower, leaving no primary.
+/// Diverged followers say so in status replies and arbitration skips
+/// them; this default-config seed fails without that rule.
+const DIVERGED_DEFER_SEED: u64 = 5;
+
+#[test]
+fn regression_seed_never_defers_to_a_diverged_follower() {
+    let report = run_sim(DIVERGED_DEFER_SEED, &SimConfig::default());
+    assert!(report.passed(), "{}", report.repro());
+    assert!(
+        report.trace.iter().any(|t| t.contains("journal diverged")),
+        "the seed no longer parks a follower diverged:\n{}",
+        report.repro()
+    );
 }
 
 #[test]
